@@ -25,6 +25,7 @@ from .linalg import (
     PreconditionError,
     imag_part,
     inverse,
+    loewner_margin as _leq,
     op_norm,
     real_part,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "check_by_id",
     "SUITE_NAMES",
     "suite_ids",
+    "suite_checks",
 ]
 
 R01 = (0.0, 1.0)
@@ -118,13 +120,6 @@ class Check:
 
 # ---------------------------------------------------------------------------
 # margin helpers
-
-
-def _leq(lhs: np.ndarray, rhs: np.ndarray, flip: bool) -> tuple[float, float]:
-    diff = rhs - lhs
-    evals = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
-    margin = float(-evals[-1]) if flip else float(evals[0])
-    return margin, max(1.0, op_norm(lhs), op_norm(rhs))
 
 
 def _sleq(lhs: float, rhs: float, flip: bool) -> tuple[float, float]:
@@ -727,3 +722,15 @@ def suite_ids(suite: str) -> tuple[str, ...]:
             f"unknown suite {suite!r}; valid suites: {', '.join(SUITE_NAMES)}"
         )
     return _SUITE_IDS[suite]
+
+
+def suite_checks(suite: str) -> list[Check]:
+    """The checks a suite runs, in report order.
+
+    rneg and all also run the informational checks after their catalog
+    entries; they are reported but never gate the outcome.
+    """
+    checks = [_BY_ID[i] for i in suite_ids(suite)]
+    if suite in ("rneg", "all"):
+        checks += _INFORMATIONAL
+    return checks

@@ -20,7 +20,7 @@ import sys
 import warnings
 from typing import Optional, Sequence
 
-from .checks import SUITE_NAMES, suite_ids
+from .checks import SUITE_NAMES, suite_checks
 from .linalg import PreconditionError
 from .matrixio import dumps_matrix, parse_matrix
 from .means import (
@@ -34,7 +34,7 @@ from .quadrature import quadrature_rule
 from .runner import RunConfig, SuiteReport, replay_trial, run_suite
 from .sectors import is_accretive, sector_angle
 
-__all__ = ["main", "entrypoint"]
+__all__ = ["main", "entrypoint", "parse_dims", "print_report", "write_report"]
 
 CSV_HEADER = ["check_id", "paper_anchor", "trials", "violations", "worst_margin", "worst_seed"]
 
@@ -48,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _dims(text: str) -> tuple[int, int]:
+def parse_dims(text: str) -> tuple[int, int]:
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
     if m:
         return int(m.group(1)), int(m.group(2))
@@ -95,7 +95,7 @@ def build_parser() -> _Parser:
     ver.add_argument("suite", choices=SUITE_NAMES)
     ver.add_argument("--seed", type=int, default=42)
     ver.add_argument("--trials", type=int, default=500)
-    ver.add_argument("--dims", type=_dims, default=(2, 8), metavar="A..B")
+    ver.add_argument("--dims", type=parse_dims, default=(2, 8), metavar="A..B")
     ver.add_argument("--nodes", type=int, default=80)
     ver.add_argument("--tol", type=float, default=1e-8)
     ver.add_argument("--format", choices=("json", "csv"), default="json")
@@ -151,7 +151,8 @@ def _cmd_compute(ns: argparse.Namespace) -> int:
     raise UsageError(f"unknown compute op {ns.op!r}")
 
 
-def _write_report(report: SuiteReport, fmt: str, path: str) -> None:
+def write_report(report: SuiteReport, fmt: str, path: str) -> None:
+    """Write a suite report as JSON or as the documented CSV columns."""
     if fmt == "json":
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=2)
@@ -164,18 +165,28 @@ def _write_report(report: SuiteReport, fmt: str, path: str) -> None:
             writer.writerow([c.id, c.anchor, c.trials, c.violations, c.worst_margin, c.worst_seed])
 
 
-def _valid_check_ids(suite: str) -> tuple[str, ...]:
-    ids = suite_ids(suite)
-    if suite in ("rneg", "all"):
-        ids = ids + ("X23",)
-    return ids
+def print_report(report: SuiteReport) -> None:
+    """Print one line per check, then the suite verdict."""
+    for c in report.checks:
+        tag = " (informational)" if c.informational else ""
+        worst = "n/a" if c.worst_margin is None else f"{c.worst_margin:+.3e}"
+        line = (
+            f"{c.id:>4}  {c.name:<24} trials={c.trials}  violations={c.violations}  "
+            f"worst_margin={worst}  sampler_failures={c.sampler_failures}{tag}"
+        )
+        print(line)
+    verdict = "PASS" if report.passed else "FAIL"
+    print(
+        f"suite {report.suite}: {len(report.checks)} checks, {report.violations} violations, "
+        f"{report.sampler_failures} sampler failures, {report.elapsed_s:.1f}s -> {verdict}"
+    )
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
     # identity checks evaluate means whose inner congruence routinely leaves
     # the accretive cone; that is expected there, so keep the output clean
     warnings.filterwarnings("ignore", category=NonAccretiveWarning)
-    valid_ids = _valid_check_ids(ns.suite)
+    valid_ids = [c.id for c in suite_checks(ns.suite)]
     if ns.check is not None and ns.check not in valid_ids:
         print(
             f"unknown check {ns.check!r} for suite {ns.suite!r}; valid ids: {', '.join(valid_ids)}",
@@ -192,7 +203,6 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         tol=ns.tol,
         r_override=ns.r,
         force_pd=ns.pd,
-        out_format=ns.format,
     )
 
     if ns.replay is not None:
@@ -203,21 +213,9 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         return 3 if result["violated"] else 0
 
     report = run_suite(ns.suite, config, check_id=ns.check)
-    for c in report.checks:
-        tag = " (informational)" if c.informational else ""
-        worst = "n/a" if c.worst_margin is None else f"{c.worst_margin:+.3e}"
-        line = (
-            f"{c.id:>4}  {c.name:<24} trials={c.trials}  violations={c.violations}  "
-            f"worst_margin={worst}  sampler_failures={c.sampler_failures}{tag}"
-        )
-        print(line)
+    print_report(report)
     out_path = ns.out or f"verify_report.{ns.format}"
-    _write_report(report, ns.format, out_path)
-    verdict = "PASS" if report.passed else "FAIL"
-    print(
-        f"suite {report.suite}: {len(report.checks)} checks, {report.violations} violations, "
-        f"{report.sampler_failures} sampler failures, {report.elapsed_s:.1f}s -> {verdict}"
-    )
+    write_report(report, ns.format, out_path)
     print(f"report written to {out_path}")
     return 0 if report.passed else 3
 

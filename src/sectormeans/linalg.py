@@ -25,6 +25,7 @@ __all__ = [
     "inverse",
     "hermitian_eig",
     "sqrt_pd",
+    "loewner_margin",
     "loewner_leq",
     "singular_values",
     "op_norm",
@@ -129,6 +130,20 @@ def sqrt_pd(H: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(w)) @ V.conj().T
 
 
+def loewner_margin(lhs: np.ndarray, rhs: np.ndarray, flip: bool = False) -> tuple[float, float]:
+    """Margin and scale of the Loewner comparison lhs <= rhs.
+
+    With D the Hermitian part of rhs - lhs, margin = lambda_min(D), or
+    -lambda_max(D) for the reversed claim when flip is set; scale =
+    max(1, ||lhs||, ||rhs||).  Operands are trusted arrays; nothing is
+    validated here.
+    """
+    diff = rhs - lhs
+    evals = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
+    margin = float(-evals[-1]) if flip else float(evals[0])
+    return margin, max(1.0, op_norm(lhs), op_norm(rhs))
+
+
 def loewner_leq(
     H: np.ndarray, K: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
 ) -> tuple[bool, float]:
@@ -141,8 +156,7 @@ def loewner_leq(
     K = require_hermitian(K, "right operand")
     if H.shape != K.shape:
         raise PreconditionError(f"dimension mismatch: {H.shape} vs {K.shape}")
-    margin = float(np.linalg.eigvalsh(K - H)[0])
-    scale = max(1.0, op_norm(H), op_norm(K))
+    margin, scale = loewner_margin(H, K)
     return margin >= -tol.rel_eps * scale, margin
 
 

@@ -26,7 +26,6 @@ from .linalg import (
     as_matrix,
     inverse,
     is_hermitian,
-    real_part,
 )
 from .quadrature import (
     DEFAULT_NODES,
@@ -326,10 +325,3 @@ def inverse_mean_identity(
     lhs = inverse(geometric_mean(A, B, r, engine, nodes))
     rhs = geometric_mean(inverse(as_matrix(A)), inverse(as_matrix(B)), r, engine, nodes)
     return lhs, rhs
-
-
-def real_geometric_mean(
-    A: np.ndarray, B: np.ndarray, r: float, rule: QuadratureRule
-) -> np.ndarray:
-    """Re(A) #_r Re(B) through the integral route; Hermitian by construction."""
-    return real_part(geometric_mean_integral(real_part(A), real_part(B), r, rule))

@@ -16,9 +16,7 @@ integral cannot manufacture a counterexample on its own.
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -29,10 +27,8 @@ from .checks import (
     EvalContext,
     Instance,
     TrialEval,
-    catalog,
     check_by_id,
-    informational_catalog,
-    suite_ids,
+    suite_checks,
 )
 from .linalg import PreconditionError, SingularMatrixError
 from .maps import MAP_KINDS, random_map
@@ -63,7 +59,6 @@ __all__ = [
 
 MAX_RETRIES = 10
 R_EDGE_GAP = 0.05  # sampled r stays this far inside each open interval
-THREADS_ENV = "SECTORMEANS_THREADS"
 
 _RETRYABLE = (EigenbasisConditionError, PrincipalBranchError, SingularMatrixError)
 
@@ -83,7 +78,6 @@ class RunConfig:
     r_override: Optional[float] = None
     alphas: tuple[float, ...] = (0.1, 0.4, 0.8, 1.2)
     force_pd: bool = False
-    out_format: str = "json"
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -98,8 +92,6 @@ class RunConfig:
             raise PreconditionError(f"tol must be positive, got {self.tol}")
         if not self.alphas or not all(0.0 <= a < math.pi / 2 for a in self.alphas):
             raise PreconditionError(f"alphas must lie in [0, pi/2), got {self.alphas}")
-        if self.out_format not in ("json", "csv"):
-            raise PreconditionError(f"format must be json or csv, got {self.out_format!r}")
 
 
 @dataclass
@@ -249,6 +241,21 @@ def _violated(ev: TrialEval, tol: float) -> bool:
     return ev.margin < -tol * ev.scale
 
 
+def _confirm(
+    check: Check, inst: Instance, ev: TrialEval, config: RunConfig, flip: bool
+) -> tuple[TrialEval, bool]:
+    """Apply the refinement rule to an evaluation at config.nodes.
+
+    Returns (evaluation, violated).  A candidate violation is re-evaluated
+    at twice as many nodes, and only the refined evaluation counts.  Callers
+    run this outside their retry handling, so an error raised by the
+    refinement is never taken for a bad draw.
+    """
+    if _violated(ev, config.tol):
+        ev = check.evaluate(inst, EvalContext(nodes=2 * config.nodes), flip)
+    return ev, _violated(ev, config.tol)
+
+
 def _run_one_trial(
     check: Check,
     config: RunConfig,
@@ -257,7 +264,6 @@ def _run_one_trial(
     flip: bool,
 ) -> dict:
     ctx = EvalContext(nodes=config.nodes)
-    refine = EvalContext(nodes=2 * config.nodes)
     last_reason = "no attempt made"
     for attempt in range(MAX_RETRIES + 1):
         seed = derive_seed(master_seed, check.id, trial, attempt)
@@ -267,11 +273,7 @@ def _run_one_trial(
         except (InstanceRejected, *_RETRYABLE) as exc:
             last_reason = f"{type(exc).__name__}: {exc}"
             continue
-        violated = _violated(ev, config.tol)
-        if violated:
-            # confirm at double quadrature resolution before counting it
-            ev = check.evaluate(inst, refine, flip)
-            violated = _violated(ev, config.tol)
+        ev, violated = _confirm(check, inst, ev, config, flip)
         return {
             "trial": trial,
             "seed": seed,
@@ -283,19 +285,6 @@ def _run_one_trial(
             "failed": False,
         }
     return {"trial": trial, "failed": True, "reason": last_reason}
-
-
-def _thread_count(trials: int) -> int:
-    raw = os.environ.get(THREADS_ENV, "0").strip()
-    try:
-        requested = int(raw)
-    except ValueError:
-        raise PreconditionError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if requested < 0:
-        raise PreconditionError(f"{THREADS_ENV} must be >= 0, got {requested}")
-    if requested == 0:
-        requested = min(os.cpu_count() or 1, 8)
-    return max(1, min(requested, trials))
 
 
 def run_check(
@@ -325,13 +314,7 @@ def run_check(
     seed = config.seed if master_seed is None else master_seed
 
     start = time.perf_counter()
-    n_threads = _thread_count(config.trials)
-    trials = range(config.trials)
-    if n_threads > 1 and config.trials > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            records = list(pool.map(lambda t: _run_one_trial(check, config, seed, t, flip), trials))
-    else:
-        records = [_run_one_trial(check, config, seed, t, flip) for t in trials]
+    records = [_run_one_trial(check, config, seed, t, flip) for t in range(config.trials)]
     runtime = time.perf_counter() - start
 
     completed = [rec for rec in records if not rec["failed"]]
@@ -361,15 +344,6 @@ def run_check(
     )
 
 
-def _suite_checks(suite: str) -> list[Check]:
-    ids = suite_ids(suite)
-    by_id = {c.id: c for c in catalog()}
-    selected = [by_id[i] for i in ids]
-    if suite in ("rneg", "all"):
-        selected.extend(informational_catalog())
-    return selected
-
-
 def run_suite(
     suite: str,
     config: RunConfig,
@@ -377,7 +351,7 @@ def run_suite(
     mutate: Optional[str] = None,
 ) -> SuiteReport:
     """Run a named suite (or a single check restricted from it)."""
-    selected = _suite_checks(suite)
+    selected = suite_checks(suite)
     if check_id is not None:
         selected = [c for c in selected if c.id == check_id]
         if not selected:
@@ -414,11 +388,7 @@ def replay_trial(check_id: str, seed: int, config: RunConfig) -> dict:
     trial, attempt = position
     inst = sample_instance(check, config, seed, trial)
     ev = check.evaluate(inst, EvalContext(nodes=config.nodes), False)
-    violated = _violated(ev, config.tol)
-    if violated:
-        ev2 = check.evaluate(inst, EvalContext(nodes=2 * config.nodes), False)
-        violated = _violated(ev2, config.tol)
-        ev = ev2
+    ev, violated = _confirm(check, inst, ev, config, False)
     return {
         "check": check.id,
         "seed": seed,

@@ -164,6 +164,20 @@ def test_verify_check_suite_mismatch(capsys):
     assert code == 1
 
 
+def test_verify_informational_check_follows_suite(tmp_path, capsys):
+    # rneg and all run the informational X23; other suites do not
+    out_path = tmp_path / "rep.json"
+    code, _, _ = run_cli(capsys, "verify", "rneg", "--check", "X23", "--trials", "2",
+                         "--dims", "2..3", "--nodes", "48", "--out", str(out_path))
+    assert code == 0
+    rows = json.loads(out_path.read_text())["checks"]
+    assert [(c["id"], c["informational"]) for c in rows] == [("X23", True)]
+    code, _, err = run_cli(capsys, "verify", "r01", "--check", "X23")
+    assert code == 1
+    assert "valid ids: C01, C02" in err
+    assert "X23" not in err.split("valid ids:")[1]
+
+
 def test_verify_replay_requires_check(capsys):
     code, _, err = run_cli(capsys, "verify", "r12", "--replay", "12345")
     assert code == 1

@@ -1,0 +1,32 @@
+"""The archive script: every suite once, JSON and CSV from the same run."""
+
+import csv
+import importlib.util
+import json
+import pathlib
+
+SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("run_verification", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_json_and_csv_agree(tmp_path, capsys):
+    script = load_script()
+    assert script.main(["--trials", "2", "--dims", "2..3", "--out-dir", str(tmp_path)]) == 0
+    (run_dir,) = tmp_path.iterdir()
+    summary = json.loads((run_dir / "summary.json").read_text())
+    assert set(summary) == set(script.SUITES)
+    for suite in script.SUITES:
+        checks = json.loads((run_dir / f"{suite}.json").read_text())["checks"]
+        with open(run_dir / f"{suite}.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["check_id"] for r in rows] == [c["id"] for c in checks]
+        for row, c in zip(rows, checks):
+            assert int(row["violations"]) == c["violations"]
+            assert float(row["worst_margin"]) == c["worst_margin"]
+            assert int(row["worst_seed"]) == c["worst_seed"]
