@@ -9,10 +9,8 @@ Gauss-Jacobi quadrature.
 """
 
 from .linalg import (
-    DEFAULT_TOL,
     PreconditionError,
     SingularMatrixError,
-    TolerancePolicy,
     imag_part,
     inverse,
     loewner_leq,
@@ -82,7 +80,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_NODES",
-    "DEFAULT_TOL",
     "MAX_DIM",
     "MAP_KINDS",
     "NORM_KINDS",
@@ -102,7 +99,6 @@ __all__ = [
     "SectorCertificate",
     "SingularMatrixError",
     "SuiteReport",
-    "TolerancePolicy",
     "TraceAverage",
     "UnitaryMixture",
     "apply_map",

@@ -8,15 +8,11 @@ difference) so callers can report how close a comparison came to failing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "PreconditionError",
     "SingularMatrixError",
-    "TolerancePolicy",
-    "DEFAULT_TOL",
     "as_matrix",
     "is_hermitian",
     "require_hermitian",
@@ -36,6 +32,10 @@ __all__ = [
 # not as noise to be symmetrized away.
 HERMITIAN_CERT_TOL = 1e-12
 
+# Relative slack of the tolerant order comparisons (Loewner order, sector
+# cones): a margin down to -REL_SLACK times the operands' scale still holds.
+REL_SLACK = 1e-9
+
 # Reciprocal condition number below which a matrix is declared singular.
 RCOND_FLOOR = 1e-14
 
@@ -46,21 +46,6 @@ class PreconditionError(ValueError):
 
 class SingularMatrixError(PreconditionError):
     """Matrix is numerically too close to singular to invert."""
-
-
-@dataclass(frozen=True)
-class TolerancePolicy:
-    """Relative slack and absolute floor used by order comparisons."""
-
-    rel_eps: float = 1e-9
-    abs_floor: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if not (self.rel_eps > 0.0 and self.abs_floor > 0.0):
-            raise ValueError("tolerances must be strictly positive")
-
-
-DEFAULT_TOL = TolerancePolicy()
 
 
 def as_matrix(A) -> np.ndarray:
@@ -75,7 +60,7 @@ def as_matrix(A) -> np.ndarray:
 
 def is_hermitian(H: np.ndarray, tol: float = HERMITIAN_CERT_TOL) -> bool:
     H = as_matrix(H)
-    scale = 1.0 + np.abs(H).max(initial=0.0)
+    scale = np.abs(H).max(initial=0.0)
     return bool(np.abs(H - H.conj().T).max(initial=0.0) <= tol * scale)
 
 
@@ -144,20 +129,18 @@ def loewner_margin(lhs: np.ndarray, rhs: np.ndarray, flip: bool = False) -> tupl
     return margin, max(1.0, op_norm(lhs), op_norm(rhs))
 
 
-def loewner_leq(
-    H: np.ndarray, K: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL
-) -> tuple[bool, float]:
+def loewner_leq(H: np.ndarray, K: np.ndarray) -> tuple[bool, float]:
     """Decide H <= K in the Loewner order, tolerantly.
 
     Returns (holds, margin) where margin = lambda_min(K - H).  The
-    comparison holds when margin >= -rel_eps * max(1, ||H||, ||K||).
+    comparison holds when margin >= -REL_SLACK * max(1, ||H||, ||K||).
     """
     H = require_hermitian(H, "left operand")
     K = require_hermitian(K, "right operand")
     if H.shape != K.shape:
         raise PreconditionError(f"dimension mismatch: {H.shape} vs {K.shape}")
     margin, scale = loewner_margin(H, K)
-    return margin >= -tol.rel_eps * scale, margin
+    return margin >= -REL_SLACK * scale, margin
 
 
 def singular_values(A: np.ndarray) -> np.ndarray:

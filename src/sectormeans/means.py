@@ -71,19 +71,18 @@ class EigenbasisConditionError(PreconditionError):
     """Eigenvector basis too ill-conditioned for a trustworthy eigen-route result."""
 
 
-def _spectrum_off_cut(A: np.ndarray) -> tuple[bool, np.ndarray]:
-    lam = np.linalg.eigvals(A)
+def _off_cut(lam: np.ndarray) -> bool:
+    """Whether no eigenvalue lies within 1e-13 * max|lam| of (-inf, 0]."""
     scale = max(float(np.abs(lam).max(initial=0.0)), 1e-300)
     on_cut = (lam.real <= 1e-13 * scale) & (np.abs(lam.imag) <= 1e-13 * scale)
-    return not bool(on_cut.any()), lam
+    return not bool(on_cut.any())
 
 
 def _require_power_domain(A: np.ndarray, what: str) -> None:
     accretive, _ = is_accretive(A)
     if accretive:
         return
-    safe, _ = _spectrum_off_cut(A)
-    if not safe:
+    if not _off_cut(np.linalg.eigvals(A)):
         raise PrincipalBranchError(
             f"{what} has spectrum touching (-inf, 0]; principal power undefined"
         )
@@ -137,10 +136,9 @@ def principal_power_eigen(A: np.ndarray, r: float) -> np.ndarray:
                 f"Hermitian input has eigenvalue {w[0]:.3e} on (-inf, 0]"
             )
         return (V * w**r) @ V.conj().T
-    safe, lam = _spectrum_off_cut(A)
-    if not safe:
-        raise PrincipalBranchError("spectrum touches (-inf, 0]; principal power undefined")
     lam, V = np.linalg.eig(A)
+    if not _off_cut(lam):
+        raise PrincipalBranchError("spectrum touches (-inf, 0]; principal power undefined")
     cond = np.linalg.cond(V)
     if cond > EIG_COND_LIMIT:
         raise EigenbasisConditionError(
@@ -246,19 +244,7 @@ def geometric_mean(
     root = power(A, 0.5)
     root_inv = inverse(root)
     inner = root_inv @ B @ root_inv
-    accretive, _ = is_accretive(inner)
-    if not accretive:
-        safe, _ = _spectrum_off_cut(inner)
-        if not safe:
-            raise PrincipalBranchError(
-                "inner congruence A^{-1/2} B A^{-1/2} has spectrum touching (-inf, 0]"
-            )
-        warnings.warn(
-            "inner congruence A^{-1/2} B A^{-1/2} is not accretive; "
-            "principal branch still defined, proceeding",
-            NonAccretiveWarning,
-            stacklevel=2,
-        )
+    _require_power_domain(inner, "inner congruence A^{-1/2} B A^{-1/2}")
     return root @ power(inner, r) @ root
 
 

@@ -187,16 +187,11 @@ def sample_instance(check: Check, config: RunConfig, seed: int, trial: int) -> I
     mats: list[np.ndarray] = []
     realized = 0.0
     for cls in classes:
-        if cls == "pd":
-            M = _pd(dim, rng)
-            evals = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
-            if evals[0] <= 0.0:
-                raise InstanceRejected(f"positive-definite draw has lambda_min {evals[0]:.3e}")
-        elif cls == "accretive":
-            M = _accretive(dim, rng)
+        if cls in ("pd", "accretive"):
+            M = _pd(dim, rng) if cls == "pd" else _accretive(dim, rng)
             ok, margin = is_accretive(M)
             if not ok:
-                raise InstanceRejected(f"accretive draw has real-part margin {margin:.3e}")
+                raise InstanceRejected(f"{cls} draw has real-part margin {margin:.3e}")
         else:
             try:
                 cert = _sectorial(dim, alpha, rng)

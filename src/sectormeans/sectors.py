@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DEFAULT_TOL,
+    REL_SLACK,
     PreconditionError,
-    TolerancePolicy,
     as_matrix,
     imag_part,
     op_norm,
@@ -41,6 +40,10 @@ __all__ = [
 
 MAX_DIM = 64
 
+# A is accretive when lambda_min(Re A) exceeds this fraction of max|a_ij|;
+# being relative, the test is invariant under A -> cA, as the means are.
+ACCRETIVE_FLOOR = 1e-12
+
 
 def validate_sector_angle(alpha: float) -> float:
     alpha = float(alpha)
@@ -58,11 +61,15 @@ class SectorCertificate:
     accretivity_margin: float
 
 
-def is_accretive(A: np.ndarray, tol: TolerancePolicy = DEFAULT_TOL) -> tuple[bool, float]:
+def _accretive_floor(A: np.ndarray) -> float:
+    return ACCRETIVE_FLOOR * float(np.abs(A).max(initial=0.0))
+
+
+def is_accretive(A: np.ndarray) -> tuple[bool, float]:
     """Test whether Re(A) is positive definite; margin is lambda_min(Re A)."""
     A = as_matrix(A)
     margin = float(np.linalg.eigvalsh(real_part(A))[0])
-    return margin > tol.abs_floor, margin
+    return margin > _accretive_floor(A), margin
 
 
 def sector_angle(A: np.ndarray) -> float:
@@ -74,7 +81,7 @@ def sector_angle(A: np.ndarray) -> float:
     A = as_matrix(A)
     R = real_part(A)
     w, V = np.linalg.eigh(R)
-    if w[0] <= DEFAULT_TOL.abs_floor:
+    if w[0] <= _accretive_floor(A):
         raise PreconditionError(
             f"sector angle requires an accretive matrix (min Re-part eigenvalue {w[0]:.3e})"
         )
@@ -86,21 +93,21 @@ def sector_angle(A: np.ndarray) -> float:
 
 def _psd_margin(M: np.ndarray) -> tuple[float, float]:
     evals = np.linalg.eigvalsh(0.5 * (M + M.conj().T))
-    return float(evals[0]), max(1.0, float(abs(evals[0])), float(abs(evals[-1])))
+    return float(evals[0]), max(float(abs(evals[0])), float(abs(evals[-1])))
 
 
-def in_sector(A: np.ndarray, alpha: float, tol: TolerancePolicy = DEFAULT_TOL) -> bool:
+def in_sector(A: np.ndarray, alpha: float) -> bool:
     """Whether A is accretive and its numerical range lies in the alpha-sector."""
     A = as_matrix(A)
     alpha = validate_sector_angle(alpha)
-    accretive, _ = is_accretive(A, tol)
+    accretive, _ = is_accretive(A)
     if not accretive:
         return False
     R, S = real_part(A), imag_part(A)
     t = math.tan(alpha)
     for cone in (t * R - S, t * R + S):
         margin, scale = _psd_margin(cone)
-        if margin < -tol.rel_eps * max(scale, op_norm(R)):
+        if margin < -REL_SLACK * max(scale, op_norm(R)):
             return False
     return True
 

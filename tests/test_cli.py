@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +53,16 @@ def test_compute_power_rejects_nonaccretive(tmp_path, capsys):
     code, _, err = run_cli(capsys, "compute", "power", path, "--r", "0.5")
     assert code == 2
     assert "precondition" in err
+
+
+def test_compute_mean_rejects_nonaccretive(tmp_path, capsys):
+    bad = put(tmp_path, "bad.json", [[-1.0]])
+    good = put(tmp_path, "good.json", [[4.0]])
+    for engine in ("integral", "quad", "eigen"):
+        code, _, err = run_cli(capsys, "compute", "mean", bad, good,
+                               "--r", "0.5", "--engine", engine)
+        assert code == 2
+        assert "precondition" in err
 
 
 def test_compute_mean_scalar(tmp_path, capsys):
@@ -207,16 +221,17 @@ def test_verify_replay_unknown_seed(capsys):
 
 def test_verify_pd_flag(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "r12", "--check", "C12", "--pd",
-                           "--trials", "4", "--dims", "2..3", "--nodes", "48")
+                           "--trials", "4", "--dims", "2..3", "--nodes", "48",
+                           "--out", str(tmp_path / "rep.json"))
     assert code == 0
 
 
-def test_verify_tiny_tolerance_fails_closed(capsys):
+def test_verify_tiny_tolerance_fails_closed(tmp_path, capsys):
     # identity residuals sit around 1e-13; an absurd tolerance must trip
     # the failure exit path rather than being silently clamped
     code, out, _ = run_cli(capsys, "verify", "identities", "--check", "I01",
                            "--trials", "2", "--dims", "2..3", "--nodes", "48",
-                           "--tol", "1e-300")
+                           "--tol", "1e-300", "--out", str(tmp_path / "rep.json"))
     assert code == 3
     assert "FAIL" in out
 
@@ -228,11 +243,27 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli(capsys)[0] == 1
 
 
-def test_r_override_passthrough(capsys):
+def test_r_override_passthrough(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "verify", "r12", "--check", "C09", "--r", "1.5",
-                         "--trials", "3", "--dims", "2..3", "--nodes", "48")
+                         "--trials", "3", "--dims", "2..3", "--nodes", "48",
+                         "--out", str(tmp_path / "rep.json"))
     assert code == 0
     # r outside the check's branch is a precondition problem, not usage
     code, _, err = run_cli(capsys, "verify", "r12", "--check", "C09", "--r", "0.5",
                            "--trials", "3")
     assert code == 2
+
+
+def test_python_dash_m_runs_cli(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    out_path = tmp_path / "rep.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "sectormeans", "verify", "identities", "--check", "I01",
+         "--trials", "2", "--dims", "2..3", "--nodes", "48", "--out", str(out_path)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "PASS" in proc.stdout
+    assert json.loads(out_path.read_text())["checks"][0]["id"] == "I01"

@@ -26,6 +26,7 @@ from sectormeans import (
     geometric_mean,
     geometric_mean_integral,
     harmonic_mean,
+    in_sector,
     inverse,
     inverse_mean_identity,
     negation_identity,
@@ -34,6 +35,7 @@ from sectormeans import (
     principal_power_quad,
     quadrature_rule,
     reflection_identity,
+    sector_angle,
 )
 
 from conftest import rel_err
@@ -211,6 +213,19 @@ def test_geometric_engine_quad_agrees():
     for r in (0.4, 1.3, -0.3):
         assert rel_err(geometric_mean(A, B, r, engine="quad"),
                        geometric_mean(A, B, r, engine="eigen")) <= 1e-8
+
+
+@pytest.mark.parametrize("c", [1e-15, 2.0**-60, 1e6])
+def test_domain_tests_scale_invariant(c):
+    # the means are homogeneous, so scaling the inputs may change neither a
+    # domain verdict nor any digit beyond rounding
+    A = gen_sectorial(4, 0.8, 1).matrix  # sector angle 0.58
+    B = gen_sectorial(4, 0.4, 2).matrix
+    assert rel_err(principal_power_eigen(c * A, 0.5), c**0.5 * principal_power_eigen(A, 0.5)) <= 1e-12
+    assert rel_err(geometric_mean(c * A, c * B, 1.5), c * geometric_mean(A, B, 1.5)) <= 1e-12
+    assert sector_angle(c * A) == pytest.approx(sector_angle(A), rel=1e-12)
+    for alpha in (0.1, 0.6, 1.2):
+        assert in_sector(c * A, alpha) == in_sector(A, alpha)
 
 
 # ------------------------------------------------------------ integral form

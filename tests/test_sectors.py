@@ -75,6 +75,9 @@ def test_is_accretive_examples():
     # Re part [[1,1],[1,1]] has a zero eigenvalue: not strictly accretive
     holds, _ = is_accretive(np.array([[1.0, 2.0], [0.0, 1.0]]))
     assert not holds
+    # the floor is relative to max|a_ij|, so scaling cannot change the verdict
+    holds, margin = is_accretive(1e-15 * gen_accretive(4, 1))
+    assert holds and margin > 0.0
 
 
 def test_sector_angle_scalar():
