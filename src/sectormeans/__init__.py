@@ -8,15 +8,7 @@ through branch-specific integral representations discretized by
 Gauss-Jacobi quadrature.
 """
 
-from .linalg import (
-    PreconditionError,
-    SingularMatrixError,
-    imag_part,
-    inverse,
-    loewner_leq,
-    op_norm,
-    real_part,
-)
+from .linalg import PreconditionError, SingularMatrixError, loewner_leq
 from .sectors import (
     MAX_DIM,
     SectorCertificate,
@@ -114,10 +106,8 @@ __all__ = [
     "geometric_mean",
     "geometric_mean_integral",
     "harmonic_mean",
-    "imag_part",
     "in_sector",
     "informational_catalog",
-    "inverse",
     "inverse_mean_identity",
     "is_accretive",
     "jacobi_exponents",
@@ -126,14 +116,12 @@ __all__ = [
     "mean_order_branch",
     "negation_identity",
     "numerical_radius",
-    "op_norm",
     "parse_matrix",
     "principal_power",
     "principal_power_eigen",
     "principal_power_quad",
     "quadrature_rule",
     "random_map",
-    "real_part",
     "reflection_identity",
     "replay_trial",
     "run_check",

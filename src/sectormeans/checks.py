@@ -40,9 +40,9 @@ from .means import (
     principal_power_eigen,
     principal_power_quad,
     reflection_identity,
-    _cached_rule,
 )
 from .norms import numerical_radius, ui_norm
+from .quadrature import DEFAULT_NODES
 
 __all__ = [
     "Check",
@@ -66,7 +66,7 @@ RNEG = (-1.0, 0.0)
 class EvalContext:
     """Evaluation knobs shared by all checks; nodes sizes the quadrature."""
 
-    nodes: int = 80
+    nodes: int = DEFAULT_NODES
 
 
 @dataclass
@@ -124,7 +124,7 @@ class Check:
 
 def _sleq(lhs: float, rhs: float, flip: bool) -> tuple[float, float]:
     margin = (lhs - rhs) if flip else (rhs - lhs)
-    return float(margin), max(1.0, abs(lhs), abs(rhs))
+    return float(margin), max(abs(lhs), abs(rhs))
 
 
 def _merge(*pairs: tuple[float, float]) -> tuple[float, float]:
@@ -137,11 +137,11 @@ def _rel(X: np.ndarray, Y: np.ndarray) -> float:
 
 
 def _mean(A: np.ndarray, B: np.ndarray, r: float, ctx: EvalContext) -> np.ndarray:
-    return geometric_mean_integral(A, B, r, _cached_rule(r, ctx.nodes))
+    return geometric_mean_integral(A, B, r, ctx.nodes)
 
 
 def _power(A: np.ndarray, r: float, ctx: EvalContext) -> np.ndarray:
-    return principal_power_quad(A, r, _cached_rule(r, ctx.nodes))
+    return principal_power_quad(A, r, ctx.nodes)
 
 
 def _real_mean(A: np.ndarray, B: np.ndarray, r: float, ctx: EvalContext) -> np.ndarray:
@@ -274,7 +274,7 @@ def _map_geo_compare(direction: str):
 def _ev_sector_closure(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
     M = _mean(inst.A, inst.B, inst.r, ctx)
     R, S = real_part(M), imag_part(M)
-    scale = max(1.0, op_norm(M))
+    scale = op_norm(M)
 
     def membership(alpha: float) -> float:
         t = math.tan(alpha)

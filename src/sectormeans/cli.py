@@ -30,7 +30,7 @@ from .means import (
     principal_power,
 )
 from .norms import NORM_KINDS, numerical_radius, ui_norm
-from .quadrature import quadrature_rule
+from .quadrature import DEFAULT_NODES
 from .runner import RunConfig, SuiteReport, replay_trial, run_suite
 from .sectors import is_accretive, sector_angle
 
@@ -68,7 +68,7 @@ def build_parser() -> _Parser:
     p_power.add_argument("matrix", help="path to the input matrix json")
     p_power.add_argument("--r", type=float, required=True, help="exponent in (-1,2)")
     p_power.add_argument("--engine", choices=("quad", "eigen"), default="quad")
-    p_power.add_argument("--nodes", type=int, default=80)
+    p_power.add_argument("--nodes", type=int, default=DEFAULT_NODES)
 
     p_mean = comp_sub.add_parser("mean", help="weighted geometric mean A #_r B")
     p_mean.add_argument("matrix", help="path to the first matrix json")
@@ -80,7 +80,7 @@ def build_parser() -> _Parser:
         default="integral",
         help="integral: direct branch integral; quad/eigen: congruence route",
     )
-    p_mean.add_argument("--nodes", type=int, default=80)
+    p_mean.add_argument("--nodes", type=int, default=DEFAULT_NODES)
 
     p_sector = comp_sub.add_parser("sector", help="smallest sector angle containing W(A)")
     p_sector.add_argument("matrix")
@@ -91,13 +91,14 @@ def build_parser() -> _Parser:
     p_norm = comp_sub.add_parser("norm", help="unitarily invariant norms of A")
     p_norm.add_argument("matrix")
 
+    run = RunConfig()
     ver = sub.add_parser("verify", help="run a randomized verification suite")
     ver.add_argument("suite", choices=SUITE_NAMES)
-    ver.add_argument("--seed", type=int, default=42)
-    ver.add_argument("--trials", type=int, default=500)
-    ver.add_argument("--dims", type=parse_dims, default=(2, 8), metavar="A..B")
-    ver.add_argument("--nodes", type=int, default=80)
-    ver.add_argument("--tol", type=float, default=1e-8)
+    ver.add_argument("--seed", type=int, default=run.seed)
+    ver.add_argument("--trials", type=int, default=run.trials)
+    ver.add_argument("--dims", type=parse_dims, default=(run.dim_min, run.dim_max), metavar="A..B")
+    ver.add_argument("--nodes", type=int, default=DEFAULT_NODES)
+    ver.add_argument("--tol", type=float, default=run.tol)
     ver.add_argument("--format", choices=("json", "csv"), default="json")
     ver.add_argument("--r", type=float, default=None, help="fix the mean order for all checks")
     ver.add_argument("--check", default=None, metavar="ID", help="restrict to one catalog entry")
@@ -124,11 +125,10 @@ def _cmd_compute(ns: argparse.Namespace) -> int:
         return 0
     if ns.op == "mean":
         B = parse_matrix(ns.matrix_b)
-        if ns.engine == "integral" and ns.r not in (0.0, 1.0):
-            out = geometric_mean_integral(A, B, ns.r, quadrature_rule(ns.r, ns.nodes))
+        if ns.engine == "integral":
+            out = geometric_mean_integral(A, B, ns.r, ns.nodes)
         else:
-            engine = "quad" if ns.engine == "integral" else ns.engine
-            out = geometric_mean(A, B, ns.r, engine=engine, nodes=ns.nodes)
+            out = geometric_mean(A, B, ns.r, engine=ns.engine, nodes=ns.nodes)
         print(dumps_matrix(out))
         return 0
     if ns.op == "sector":
@@ -180,7 +180,13 @@ def print_report(report: SuiteReport) -> None:
 def _cmd_verify(ns: argparse.Namespace) -> int:
     # identity checks evaluate means whose inner congruence routinely leaves
     # the accretive cone; that is expected there, so keep the output clean
-    warnings.filterwarnings("ignore", category=NonAccretiveWarning)
+    # without changing the caller's warning filters
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", category=NonAccretiveWarning)
+        return _run_verify(ns)
+
+
+def _run_verify(ns: argparse.Namespace) -> int:
     valid_ids = [c.id for c in suite_checks(ns.suite)]
     if ns.check is not None and ns.check not in valid_ids:
         print(

@@ -4,6 +4,10 @@ Matrices are square numpy arrays of complex128.  The Hermitian/Cartesian
 parts are formed so that the result is Hermitian to the last bit, and the
 Loewner comparison returns an explicit margin (smallest eigenvalue of the
 difference) so callers can report how close a comparison came to failing.
+
+`as_matrix` is the validation boundary.  The kernels `is_hermitian`,
+`real_part`, `imag_part`, `inverse`, `singular_values` and `op_norm` take
+arrays as given: callers pass arrays that already went through it.
 """
 
 from __future__ import annotations
@@ -58,10 +62,9 @@ def as_matrix(A) -> np.ndarray:
     return M
 
 
-def is_hermitian(H: np.ndarray, tol: float = HERMITIAN_CERT_TOL) -> bool:
-    H = as_matrix(H)
+def is_hermitian(H: np.ndarray) -> bool:
     scale = np.abs(H).max(initial=0.0)
-    return bool(np.abs(H - H.conj().T).max(initial=0.0) <= tol * scale)
+    return bool(np.abs(H - H.conj().T).max(initial=0.0) <= HERMITIAN_CERT_TOL * scale)
 
 
 def require_hermitian(H: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -73,13 +76,11 @@ def require_hermitian(H: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 def real_part(A: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A*)/2 of the Cartesian decomposition."""
-    A = as_matrix(A)
     return 0.5 * (A + A.conj().T)
 
 
 def imag_part(A: np.ndarray) -> np.ndarray:
     """Skew part (A - A*)/(2i); Hermitian, and zero iff A is Hermitian."""
-    A = as_matrix(A)
     return (A - A.conj().T) / 2j
 
 
@@ -89,7 +90,6 @@ def inverse(A: np.ndarray) -> np.ndarray:
     Raises SingularMatrixError when the reciprocal condition number
     (sigma_min / sigma_max) falls below RCOND_FLOOR.
     """
-    A = as_matrix(A)
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] / sv[0] < RCOND_FLOOR:
         raise SingularMatrixError(
@@ -120,20 +120,20 @@ def loewner_margin(lhs: np.ndarray, rhs: np.ndarray, flip: bool = False) -> tupl
 
     With D the Hermitian part of rhs - lhs, margin = lambda_min(D), or
     -lambda_max(D) for the reversed claim when flip is set; scale =
-    max(1, ||lhs||, ||rhs||).  Operands are trusted arrays; nothing is
-    validated here.
+    max(||lhs||, ||rhs||), so the comparison is invariant under scaling both
+    operands.  Operands are trusted arrays; nothing is validated here.
     """
     diff = rhs - lhs
     evals = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
     margin = float(-evals[-1]) if flip else float(evals[0])
-    return margin, max(1.0, op_norm(lhs), op_norm(rhs))
+    return margin, max(op_norm(lhs), op_norm(rhs))
 
 
 def loewner_leq(H: np.ndarray, K: np.ndarray) -> tuple[bool, float]:
     """Decide H <= K in the Loewner order, tolerantly.
 
     Returns (holds, margin) where margin = lambda_min(K - H).  The
-    comparison holds when margin >= -REL_SLACK * max(1, ||H||, ||K||).
+    comparison holds when margin >= -REL_SLACK * max(||H||, ||K||).
     """
     H = require_hermitian(H, "left operand")
     K = require_hermitian(K, "right operand")
@@ -145,9 +145,9 @@ def loewner_leq(H: np.ndarray, K: np.ndarray) -> tuple[bool, float]:
 
 def singular_values(A: np.ndarray) -> np.ndarray:
     """Singular values in descending order."""
-    return np.linalg.svd(as_matrix(A), compute_uv=False)
+    return np.linalg.svd(A, compute_uv=False)
 
 
 def op_norm(A: np.ndarray) -> float:
     """Spectral norm (largest singular value)."""
-    return float(np.linalg.svd(np.asarray(A, dtype=np.complex128), compute_uv=False)[0])
+    return float(np.linalg.svd(A, compute_uv=False)[0])

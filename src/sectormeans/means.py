@@ -164,22 +164,17 @@ def _power_quad_unchecked(A: np.ndarray, rule: QuadratureRule) -> np.ndarray:
     return np.tensordot(rule.weights, integrand, axes=(0, 0))
 
 
-def principal_power_quad(A: np.ndarray, r: float, rule: QuadratureRule | None = None) -> np.ndarray:
-    """A^r by Gauss-Jacobi discretization of the branch integral.
+def principal_power_quad(A: np.ndarray, r: float, nodes: int = DEFAULT_NODES) -> np.ndarray:
+    """A^r by Gauss-Jacobi discretization of the branch integral on `nodes` points.
 
-    r = 0 and r = 1 pass through exactly and need no rule; otherwise the
-    rule must have been built for this same r.
+    r = 0 and r = 1 pass through exactly.
     """
     A = as_matrix(A)
     r = float(r)
     if mean_order_branch(r) == "endpoint":
         return np.eye(len(A), dtype=np.complex128) if r == 0.0 else A.copy()
-    if rule is None:
-        raise PreconditionError(f"a quadrature rule for r={r} is required")
-    if rule.r != r:
-        raise PreconditionError(f"rule was built for r={rule.r}, power asked for r={r}")
     _require_power_domain(A, "quadrature power input")
-    return _power_quad_unchecked(A, rule)
+    return _power_quad_unchecked(A, _cached_rule(r, nodes))
 
 
 @lru_cache(maxsize=512)
@@ -193,13 +188,10 @@ def principal_power(
     """Engine dispatcher for principal powers restricted to r in (-1, 2)."""
     if engine not in ENGINES:
         raise PreconditionError(f"unknown engine {engine!r}, expected one of {ENGINES}")
-    r = float(r)
     if engine == "eigen":
         mean_order_branch(r)
         return principal_power_eigen(A, r)
-    if mean_order_branch(r) == "endpoint":
-        return principal_power_quad(A, r)
-    return principal_power_quad(A, r, _cached_rule(r, nodes))
+    return principal_power_quad(A, r, nodes)
 
 
 def _require_accretive_pair(A: np.ndarray, B: np.ndarray) -> None:
@@ -249,7 +241,7 @@ def geometric_mean(
 
 
 def geometric_mean_integral(
-    A: np.ndarray, B: np.ndarray, r: float, rule: QuadratureRule
+    A: np.ndarray, B: np.ndarray, r: float, nodes: int = DEFAULT_NODES
 ) -> np.ndarray:
     """A #_r B through the direct integral representations.
 
@@ -258,16 +250,16 @@ def geometric_mean_integral(
     r in (0, 1):   int ((1-s) A^{-1} + s B^{-1})^{-1}          dmu_r(s)
 
     No congruence and no fractional power is involved, which makes this an
-    independent cross-check of `geometric_mean`.
+    independent cross-check of `geometric_mean`.  r = 0 and r = 1 pass A and
+    B through, as `geometric_mean` does.
     """
     A, B = as_matrix(A), as_matrix(B)
     _require_accretive_pair(A, B)
     r = float(r)
     branch = mean_order_branch(r)
     if branch == "endpoint":
-        raise PreconditionError("integral form needs r outside {0, 1}")
-    if rule.r != r:
-        raise PreconditionError(f"rule was built for r={rule.r}, mean asked for r={r}")
+        return A.copy() if r == 0.0 else B.copy()
+    rule = _cached_rule(r, nodes)
     s = rule.nodes[:, None, None]
     if branch == "r12":
         Binv = inverse(B)
@@ -283,31 +275,27 @@ def geometric_mean_integral(
     return np.tensordot(rule.weights, integrand, axes=(0, 0))
 
 
-def reflection_identity(
-    A: np.ndarray, B: np.ndarray, r: float, engine: str = "eigen", nodes: int = DEFAULT_NODES
-) -> np.ndarray:
+def reflection_identity(A: np.ndarray, B: np.ndarray, r: float) -> np.ndarray:
     """B (A #_{2-r} B)^{-1} B, which equals A #_r B for r in (1, 2)."""
     r = float(r)
     if mean_order_branch(r) != "r12":
         raise PreconditionError(f"reflection form needs r in (1, 2), got {r}")
-    return as_matrix(B) @ inverse(geometric_mean(A, B, 2.0 - r, engine, nodes)) @ as_matrix(B)
+    B = as_matrix(B)
+    return B @ inverse(geometric_mean(A, B, 2.0 - r)) @ B
 
 
-def negation_identity(
-    A: np.ndarray, B: np.ndarray, r: float, engine: str = "eigen", nodes: int = DEFAULT_NODES
-) -> np.ndarray:
+def negation_identity(A: np.ndarray, B: np.ndarray, r: float) -> np.ndarray:
     """A (A^{-1} #_{-r} B^{-1}) A, which equals A #_r B for r in (-1, 0)."""
     r = float(r)
     if mean_order_branch(r) != "rneg":
         raise PreconditionError(f"negation form needs r in (-1, 0), got {r}")
     A = as_matrix(A)
-    return A @ geometric_mean(inverse(A), inverse(as_matrix(B)), -r, engine, nodes) @ A
+    return A @ geometric_mean(inverse(A), inverse(as_matrix(B)), -r) @ A
 
 
 def inverse_mean_identity(
-    A: np.ndarray, B: np.ndarray, r: float, engine: str = "eigen", nodes: int = DEFAULT_NODES
+    A: np.ndarray, B: np.ndarray, r: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of (A #_r B)^{-1} = A^{-1} #_r B^{-1}."""
-    lhs = inverse(geometric_mean(A, B, r, engine, nodes))
-    rhs = geometric_mean(inverse(as_matrix(A)), inverse(as_matrix(B)), r, engine, nodes)
-    return lhs, rhs
+    A, B = as_matrix(A), as_matrix(B)
+    return inverse(geometric_mean(A, B, r)), geometric_mean(inverse(A), inverse(B), r)

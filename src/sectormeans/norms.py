@@ -29,7 +29,7 @@ def ui_norm(A: np.ndarray, kind: str = "operator", k: int | None = None) -> floa
     kind: 'operator' (largest), 'frobenius' (l2 of all), 'trace' (sum),
     'kyfan' (sum of the k largest; requires 1 <= k <= n).
     """
-    sv = singular_values(A)
+    sv = singular_values(as_matrix(A))
     if kind == "operator":
         return float(sv[0])
     if kind == "frobenius":

@@ -34,6 +34,7 @@ from .linalg import PreconditionError, SingularMatrixError
 from .maps import MAP_KINDS, random_map
 from .means import EigenbasisConditionError, PrincipalBranchError
 from .norms import NORM_KINDS
+from .quadrature import DEFAULT_NODES, MIN_NODES
 from .sectors import (
     MAX_DIM,
     _accretive,
@@ -42,7 +43,6 @@ from .sectors import (
     derive_seed,
     is_accretive,
     in_sector,
-    sector_angle,
 )
 
 __all__ = [
@@ -73,7 +73,7 @@ class RunConfig:
     trials: int = 500
     dim_min: int = 2
     dim_max: int = 8
-    nodes: int = 80
+    nodes: int = DEFAULT_NODES
     tol: float = 1e-8
     r_override: Optional[float] = None
     alphas: tuple[float, ...] = (0.1, 0.4, 0.8, 1.2)
@@ -86,8 +86,8 @@ class RunConfig:
             raise PreconditionError(
                 f"need 1 <= dim_min <= dim_max <= {MAX_DIM}, got {self.dim_min}..{self.dim_max}"
             )
-        if self.nodes < 4:
-            raise PreconditionError(f"nodes must be >= 4, got {self.nodes}")
+        if self.nodes < MIN_NODES:
+            raise PreconditionError(f"nodes must be >= {MIN_NODES}, got {self.nodes}")
         if not self.tol > 0.0:
             raise PreconditionError(f"tol must be positive, got {self.tol}")
         if not self.alphas or not all(0.0 <= a < math.pi / 2 for a in self.alphas):
@@ -200,7 +200,7 @@ def sample_instance(check: Check, config: RunConfig, seed: int, trial: int) -> I
             M = cert.matrix
             if not in_sector(M, alpha):
                 raise InstanceRejected(f"sectorial draw escapes the angle-{alpha} sector")
-            realized = max(realized, sector_angle(M))
+            realized = max(realized, cert.angle)
         mats.append(M)
 
     phi = None

@@ -54,11 +54,15 @@ def validate_sector_angle(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class SectorCertificate:
-    """A matrix together with a verified sector half-angle bound."""
+    """A matrix together with a verified sector half-angle bound.
+
+    alpha is the requested bound, angle the matrix's own sector angle.
+    """
 
     matrix: np.ndarray
     alpha: float
     accretivity_margin: float
+    angle: float
 
 
 def _accretive_floor(A: np.ndarray) -> float:
@@ -172,7 +176,7 @@ def _sectorial(n: int, alpha: float, rng: np.random.Generator) -> SectorCertific
         raise RuntimeError(
             f"sectorial generator out of contract: requested {alpha}, realized {realized}"
         )
-    return SectorCertificate(matrix=X, alpha=alpha, accretivity_margin=margin)
+    return SectorCertificate(matrix=X, alpha=alpha, accretivity_margin=margin, angle=realized)
 
 
 def gen_pd(n: int, seed: int) -> np.ndarray:
@@ -194,7 +198,7 @@ def gen_sectorial(n: int, alpha: float, seed: int) -> SectorCertificate:
     alpha = validate_sector_angle(alpha)
     if alpha == 0.0:
         return SectorCertificate(
-            matrix=gen_pd(n, seed), alpha=0.0, accretivity_margin=0.1
+            matrix=gen_pd(n, seed), alpha=0.0, accretivity_margin=0.1, angle=0.0
         )
     return _sectorial(_check_dim(n), alpha, np.random.default_rng(seed))
 

@@ -74,6 +74,15 @@ def test_suites_partition_catalog():
         union |= set(suite_ids(name))
     assert set(suite_ids("all")) == union
     assert len(suite_ids("identities")) == 6
+    # each hand-kept list holds exactly the checks its r-intervals assign to it
+    main = catalog()
+    inequalities = [c for c in main if c.kind != "identity"]
+    for name, interval in (("r12", (1.0, 2.0)), ("rneg", (-1.0, 0.0))):
+        assert suite_ids(name) == tuple(c.id for c in inequalities if interval in c.r_intervals)
+    assert suite_ids("r01") == tuple(
+        c.id for c in inequalities if (0.0, 1.0) in c.r_intervals or not c.r_intervals
+    )
+    assert suite_ids("identities") == tuple(c.id for c in main if c.kind == "identity")
     with pytest.raises(PreconditionError):
         suite_ids("r23")
 

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,16 @@ def test_verify_small_json(tmp_path, capsys):
     assert rep["seed"] == 7
     assert len(rep["checks"]) == 6
     assert rep["summary"]["violations"] == 0
+
+
+def test_verify_leaves_warning_filters_alone(tmp_path, capsys):
+    with warnings.catch_warnings():
+        # start from no filters at all, so any filter that verify adds shows
+        warnings.resetwarnings()
+        code, _, _ = run_cli(capsys, "verify", "identities", "--check", "I01", "--trials", "2",
+                             "--out", str(tmp_path / "rep.json"))
+        assert code == 0
+        assert warnings.filters == []
 
 
 def test_verify_csv_header_exact(tmp_path, capsys):

@@ -10,16 +10,16 @@ from sectormeans import (
     SingularMatrixError,
     gen_pd,
     gen_unitary,
-    imag_part,
-    inverse,
     loewner_leq,
-    op_norm,
-    real_part,
 )
 from sectormeans.linalg import (
     as_matrix,
     hermitian_eig,
+    imag_part,
+    inverse,
     is_hermitian,
+    op_norm,
+    real_part,
     singular_values,
     sqrt_pd,
 )
@@ -114,6 +114,9 @@ def test_loewner_examples():
     # equality counts as <=
     holds, _ = loewner_leq(I2, I2)
     assert holds
+    # the slack scales with the operands, so tiny matrices get no absolute floor
+    holds, margin = loewner_leq(2e-12 * I2, 1e-12 * I2)
+    assert not holds and margin == pytest.approx(-1e-12)
 
 
 def test_loewner_tolerance_policy():

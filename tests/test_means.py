@@ -27,16 +27,15 @@ from sectormeans import (
     geometric_mean_integral,
     harmonic_mean,
     in_sector,
-    inverse,
     inverse_mean_identity,
     negation_identity,
     principal_power,
     principal_power_eigen,
     principal_power_quad,
-    quadrature_rule,
     reflection_identity,
     sector_angle,
 )
+from sectormeans.linalg import inverse
 
 from conftest import rel_err
 
@@ -104,7 +103,7 @@ def test_power_identity_cases():
 def test_power_quad_matches_eigen(r):
     for seed in range(6):
         A = gen_accretive(5, 100 + seed)
-        quad = principal_power_quad(A, r, quadrature_rule(r, 96))
+        quad = principal_power_quad(A, r, 96)
         eig = principal_power_eigen(A, r)
         assert rel_err(quad, eig) <= 1e-8
 
@@ -113,8 +112,8 @@ def test_power_quad_node_doubling_stable():
     """Beyond 64 nodes the rule is converged for conditioned inputs."""
     A = gen_accretive(5, 42)
     for r in (-0.5, 0.5, 1.5):
-        v64 = principal_power_quad(A, r, quadrature_rule(r, 64))
-        v128 = principal_power_quad(A, r, quadrature_rule(r, 128))
+        v64 = principal_power_quad(A, r, 64)
+        v128 = principal_power_quad(A, r, 128)
         assert rel_err(v64, v128) <= 1e-10
 
 
@@ -152,7 +151,7 @@ def test_power_warns_off_cone_but_off_cut():
     # spectrum {-1 + 3i} avoids the cut, so the power exists; the quadrature
     # route flags the non-accretive input before proceeding
     with pytest.warns(NonAccretiveWarning):
-        out = principal_power_quad(scalar(-1.0 + 3.0j), 0.5, quadrature_rule(0.5, 96))
+        out = principal_power_quad(scalar(-1.0 + 3.0j), 0.5, 96)
     assert out[0, 0] == pytest.approx(complex(-1.0 + 3.0j) ** 0.5, abs=1e-8)
     silent = principal_power_eigen(scalar(-1.0 + 3.0j), 0.5)
     assert silent[0, 0] == pytest.approx(complex(-1.0 + 3.0j) ** 0.5, abs=1e-12)
@@ -233,7 +232,7 @@ def test_domain_tests_scale_invariant(c):
 
 def test_integral_scalar_negative_order():
     r = -0.5
-    out = geometric_mean_integral(scalar(1.0), scalar(4.0), r, quadrature_rule(r, 80))
+    out = geometric_mean_integral(scalar(1.0), scalar(4.0), r, 80)
     assert out[0, 0] == pytest.approx(0.5, abs=1e-9)
 
 
@@ -241,22 +240,23 @@ def test_integral_scalar_negative_order():
 def test_integral_matches_congruence(r):
     for seed in range(8):
         A, B = gen_accretive(4, 200 + seed), gen_accretive(4, 300 + seed)
-        direct = geometric_mean_integral(A, B, r, quadrature_rule(r, 80))
+        direct = geometric_mean_integral(A, B, r, 80)
         cong = geometric_mean(A, B, r)
         assert rel_err(direct, cong) <= 1e-8
 
 
 def test_integral_collapses_when_equal():
     A = gen_accretive(3, 70)
-    out = geometric_mean_integral(A, A, 0.5, quadrature_rule(0.5, 80))
+    out = geometric_mean_integral(A, A, 0.5, 80)
     assert rel_err(out, A) <= 1e-10
 
 
-def test_integral_rule_mismatch():
-    rule = quadrature_rule(0.5, 16)
-    A = gen_accretive(2, 0)
+def test_integral_endpoints_pass_through():
+    A, B = gen_accretive(3, 71), gen_accretive(3, 72)
+    assert np.array_equal(geometric_mean_integral(A, B, 0), A)
+    assert np.array_equal(geometric_mean_integral(A, B, 1), B)
     with pytest.raises(PreconditionError):
-        geometric_mean_integral(A, A, 0.6, rule)
+        geometric_mean_integral(scalar(-1.0), scalar(1.0), 0)
 
 
 # -------------------------------------------------------------- identities

@@ -10,9 +10,9 @@ from sectormeans import (
     gen_pd,
     gen_unitary,
     numerical_radius,
-    op_norm,
     ui_norm,
 )
+from sectormeans.linalg import op_norm
 
 
 def random_complex(n, seed):

@@ -155,6 +155,7 @@ def test_gen_sectorial_certificate(n, alpha, seed):
     assert cert.accretivity_margin > 0
     assert in_sector(cert.matrix, alpha)
     assert sector_angle(cert.matrix) <= alpha + 1e-9
+    assert cert.angle == sector_angle(cert.matrix)
 
 
 def test_generators_bitwise_deterministic():
