@@ -6,8 +6,9 @@ Two command families:
   sectormeans verify {all,r01,r12,rneg,identities} ...
 
 Exit codes: 0 success, 1 usage error, 2 precondition failure (bad input
-matrix, hypothesis violation), 3 verification failure (a check reported
-violations).
+matrix, hypothesis violation, or a result that fails its certificate, such
+as a numerical radius outside ||A||/2 <= w <= ||A||), 3 verification
+failure (a check reported violations).
 """
 
 from __future__ import annotations

@@ -7,11 +7,14 @@ import pytest
 
 from sectormeans import (
     PreconditionError,
+    dumps_matrix,
     gen_pd,
     gen_unitary,
     numerical_radius,
     ui_norm,
 )
+from sectormeans import norms
+from sectormeans.cli import main
 from sectormeans.linalg import op_norm
 
 
@@ -84,8 +87,54 @@ def test_radius_normal_two_points():
 def test_radius_homogeneous():
     A = random_complex(4, 31)
     w = numerical_radius(A)
-    lam = -2.3 + 1.1j
-    assert numerical_radius(lam * A) == pytest.approx(abs(lam) * w, rel=1e-9)
+    for c in (-2.3 + 1.1j, 1e-15, 2.0**-60, 1e6):
+        assert numerical_radius(c * A) == pytest.approx(abs(c) * w, rel=1e-12, abs=0.0)
+
+
+def _closed_forms():
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=4) + 1j * rng.normal(size=4)
+    y = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return {
+        # numerical range of N_4 is the disk of radius cos(pi/5)
+        "jordan": (2.0 * np.eye(4) + np.eye(4, k=1), 2.0 + math.cos(math.pi / 5)),
+        # constant support function: every angle touches the level
+        "shift5": (np.eye(5, k=1), math.cos(math.pi / 6)),
+        # singular A*: the pencil has infinite eigenvalues
+        "rank_one": (np.outer(x, y.conj()),
+                     0.5 * (abs(np.vdot(y, x)) + np.linalg.norm(x) * np.linalg.norm(y))),
+        # 2x2 numerical range: the ellipse with foci +-lam and minor axis |b|;
+        # its support is flat to about 1e-8, so the last crossings are near-tangent
+        "flat_ellipse": (np.array([[0.7 + 0.3j, 1e4], [0.0, -0.7 - 0.3j]]),
+                         math.sqrt(0.58 + 0.25e8)),
+        # five equal peaks
+        "roots_of_unity": (np.diag(np.exp(2j * math.pi * np.arange(5) / 5)), 1.0),
+        "zero": (np.zeros((3, 3)), 0.0),
+        "scalar": (np.array([[3.0 - 4.0j]]), 5.0),
+    }
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-15, 1e6])
+@pytest.mark.parametrize("name", sorted(_closed_forms()))
+def test_radius_closed_forms(name, scale):
+    A, w = _closed_forms()[name]
+    assert numerical_radius(scale * A) == pytest.approx(scale * w, rel=1e-12, abs=0.0)
+
+
+def test_radius_sandwich_escape_is_typed(monkeypatch, tmp_path, capsys):
+    # a support function that reads a quarter of the truth puts w below ||A||/2
+    true_support = norms._support
+    monkeypatch.setattr(norms, "_support", lambda A, thetas: 0.25 * true_support(A, thetas))
+    H = gen_pd(4, 12)
+    with pytest.raises(norms.RadiusCertificateError):
+        numerical_radius(H)
+    path = tmp_path / "h.json"
+    path.write_text(dumps_matrix(H) + "\n")
+    code = main(["compute", "wradius", str(path)])
+    err = capsys.readouterr().err
+    assert code != 0
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err and "sandwich" in err
 
 
 def test_radius_subadditive():
