@@ -6,8 +6,9 @@ Loewner comparison returns an explicit margin (smallest eigenvalue of the
 difference) so callers can report how close a comparison came to failing.
 
 `as_matrix` is the validation boundary.  The kernels `is_hermitian`,
-`real_part`, `imag_part`, `inverse`, `singular_values` and `op_norm` take
-arrays as given: callers pass arrays that already went through it.
+`real_part`, `imag_part`, `inverse`, `sqrt_pd`, `singular_values` and
+`op_norm` take arrays as given: callers pass arrays that already went
+through it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "real_part",
     "imag_part",
     "inverse",
-    "hermitian_eig",
     "sqrt_pd",
     "loewner_margin",
     "loewner_leq",
@@ -98,16 +98,9 @@ def inverse(A: np.ndarray) -> np.ndarray:
     return np.linalg.inv(A)
 
 
-def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix."""
-    H = require_hermitian(H)
-    w, V = np.linalg.eigh(H)
-    return w, V
-
-
 def sqrt_pd(H: np.ndarray) -> np.ndarray:
     """Principal square root of a Hermitian positive definite matrix."""
-    w, V = hermitian_eig(H)
+    w, V = np.linalg.eigh(H)
     if w[0] <= 0.0:
         raise PreconditionError(
             f"matrix is not positive definite (min eigenvalue {w[0]:.3e})"

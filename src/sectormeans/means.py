@@ -1,21 +1,34 @@
 """Weighted matrix means and principal fractional powers of accretive matrices.
 
 Two independent routes compute the same objects.  The quadrature route
-discretizes the integral representations
+evaluates one resolvent kernel,
 
-    r in (1, 2):   A^r = int_0^1 A^2 (sI + (1-s)A)^{-1} dmu(s)
-    r in (-1, 0):  A^r = int_0^1     (sI + (1-s)A)^{-1} dnu(s)
-    r in (0, 1):   A^r = int_0^1  A  (sI + (1-s)A)^{-1} dmu_r(s)
+    P #_r Q = c^r X ( int_0^1 ((1-s) Q/c + s P)^{-1} dmu_r(s) ) Y,
 
-with the measures of `quadrature`, while the eigen route diagonalizes and
-applies the principal branch of z^r on the spectrum.  The weighted geometric
-mean A #_r B is the congruence A^{1/2} (A^{-1/2} B A^{-1/2})^r A^{1/2}; its
-direct integral forms (`geometric_mean_integral`) average weighted harmonic
-means instead and never pass through the congruence.
+with the Gauss-Jacobi rule for the measure dmu_r of `quadrature` and the
+pair (X, Y) picked by k = ceil(r):
+
+    r in (-1, 0):  X, Y = P,   P
+    r in (0, 1):   X, Y = Q/c, P
+    r in (1, 2):   X, Y = Q/c, Q/c
+
+The scale c = sqrt(min|lambda| max|lambda|) over spec(P^{-1} Q) centres the
+spectrum of the pencil on 1, by homogeneity P #_r Q = c^r (P #_r (Q/c)), so
+plain scaling moves no digit and the poles of the integrand sit as far from
+[0, 1] as the spread of the spectrum allows (Hale, Higham and Trefethen,
+SIAM J. Numer. Anal. 46 (2008)).  Each node costs one linear solve, all
+nodes go through one batched `solve`, and nothing is inverted.  The power
+A^r is the kernel on (I, A); the mean's direct integral form is the kernel
+on (A, B).
+
+The eigen route diagonalizes and applies the principal branch of z^r on the
+spectrum; the mean A #_r B is then the congruence
+A^{1/2} (A^{-1/2} B A^{-1/2})^r A^{1/2}.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from functools import lru_cache
 
@@ -148,24 +161,22 @@ def principal_power_eigen(A: np.ndarray, r: float) -> np.ndarray:
     return np.linalg.solve(V.T, ((V * powered).T)).T
 
 
-def _power_quad_unchecked(A: np.ndarray, rule: QuadratureRule) -> np.ndarray:
-    n = len(A)
-    eye = np.eye(n, dtype=np.complex128)
-    branch = mean_order_branch(rule.r)
+def _resolvent_mean(P: np.ndarray, Q: np.ndarray, r: float, nodes: int) -> np.ndarray:
+    """The centred quadrature kernel for P #_r Q on trusted arrays, r off {0, 1}."""
+    lam = np.abs(np.linalg.eigvals(np.linalg.solve(P, Q)))
+    c = math.sqrt(lam.min() * lam.max())
+    Qc = Q / c
+    k = math.ceil(r)
+    X, Y = (P if k == 0 else Qc), (Qc if k == 2 else P)
+    rule = _cached_rule(r, nodes)
     s = rule.nodes[:, None, None]
-    resolvent_arg = s * eye + (1.0 - s) * A
-    if branch == "r12":
-        rhs = A @ A
-    elif branch == "r01":
-        rhs = A
-    else:
-        rhs = eye
-    integrand = np.linalg.solve(resolvent_arg, np.broadcast_to(rhs, resolvent_arg.shape))
-    return np.tensordot(rule.weights, integrand, axes=(0, 0))
+    pencil = (1.0 - s) * Qc + s * P
+    integrand = np.linalg.solve(pencil, np.broadcast_to(Y, pencil.shape))
+    return c**r * (X @ np.tensordot(rule.weights, integrand, axes=(0, 0)))
 
 
 def principal_power_quad(A: np.ndarray, r: float, nodes: int = DEFAULT_NODES) -> np.ndarray:
-    """A^r by Gauss-Jacobi discretization of the branch integral on `nodes` points.
+    """A^r as the quadrature kernel on (I, A), with a `nodes`-point rule.
 
     r = 0 and r = 1 pass through exactly.
     """
@@ -174,7 +185,7 @@ def principal_power_quad(A: np.ndarray, r: float, nodes: int = DEFAULT_NODES) ->
     if mean_order_branch(r) == "endpoint":
         return np.eye(len(A), dtype=np.complex128) if r == 0.0 else A.copy()
     _require_power_domain(A, "quadrature power input")
-    return _power_quad_unchecked(A, _cached_rule(r, nodes))
+    return _resolvent_mean(np.eye(len(A), dtype=np.complex128), A, r, nodes)
 
 
 @lru_cache(maxsize=512)
@@ -231,7 +242,7 @@ def geometric_mean(
     def power(M: np.ndarray, p: float) -> np.ndarray:
         if engine == "eigen":
             return principal_power_eigen(M, p)
-        return _power_quad_unchecked(M, _cached_rule(p, nodes))
+        return _resolvent_mean(np.eye(len(M), dtype=np.complex128), M, p, nodes)
 
     root = power(A, 0.5)
     root_inv = inverse(root)
@@ -243,36 +254,20 @@ def geometric_mean(
 def geometric_mean_integral(
     A: np.ndarray, B: np.ndarray, r: float, nodes: int = DEFAULT_NODES
 ) -> np.ndarray:
-    """A #_r B through the direct integral representations.
+    """A #_r B through its direct integral form, the quadrature kernel on (A, B).
 
-    r in (1, 2):   int ((1-s) B^{-1} + s B^{-1} A B^{-1})^{-1} dmu(s)
-    r in (-1, 0):  int ((1-s) A^{-1} B A^{-1} + s A^{-1})^{-1} dnu(s)
-    r in (0, 1):   int ((1-s) A^{-1} + s B^{-1})^{-1}          dmu_r(s)
-
-    No congruence and no fractional power is involved, which makes this an
-    independent cross-check of `geometric_mean`.  r = 0 and r = 1 pass A and
-    B through, as `geometric_mean` does.
+    Each node solves with the pencil (1-s) B/c + s A, a weighted arithmetic
+    mean of A and the centred B/c; no congruence, no fractional power and no
+    inverse is involved, which makes this an independent cross-check of
+    `geometric_mean`.  r = 0 and r = 1 pass A and B through, as
+    `geometric_mean` does.
     """
     A, B = as_matrix(A), as_matrix(B)
     _require_accretive_pair(A, B)
     r = float(r)
-    branch = mean_order_branch(r)
-    if branch == "endpoint":
+    if mean_order_branch(r) == "endpoint":
         return A.copy() if r == 0.0 else B.copy()
-    rule = _cached_rule(r, nodes)
-    s = rule.nodes[:, None, None]
-    if branch == "r12":
-        Binv = inverse(B)
-        combo = (1.0 - s) * Binv + s * (Binv @ A @ Binv)
-    elif branch == "rneg":
-        Ainv = inverse(A)
-        combo = (1.0 - s) * (Ainv @ B @ Ainv) + s * Ainv
-    else:
-        Ainv, Binv = inverse(A), inverse(B)
-        combo = (1.0 - s) * Ainv + s * Binv
-    eye = np.broadcast_to(np.eye(len(A), dtype=np.complex128), combo.shape)
-    integrand = np.linalg.solve(combo, eye)
-    return np.tensordot(rule.weights, integrand, axes=(0, 0))
+    return _resolvent_mean(A, B, r, nodes)
 
 
 def reflection_identity(A: np.ndarray, B: np.ndarray, r: float) -> np.ndarray:

@@ -1,16 +1,14 @@
 """Gauss-Jacobi rules for the endpoint-singular measures behind fractional powers.
 
-Each admissible exponent r outside {0, 1} gets a probability measure on (0, 1):
+Each admissible exponent r outside {0, 1} gets one probability measure on
+(0, 1).  With k = ceil(r), the integer above r, and b = r - k in (-1, 0):
 
-    r in (1, 2):   dmu(s)  = sin((r-1)pi)/pi * s^(r-2) * (1-s)^(1-r) ds
-    r in (-1, 0):  dnu(s)  = sin((r+1)pi)/pi * s^r     * (1-s)^(-r-1) ds
-    r in (0, 1):   dmu_r(s)= sin(r pi)/pi   * s^(r-1)  * (1-s)^(-r) ds
+    dmu_r(s) = sin((b+1) pi)/pi * s^b * (1-s)^a ds,   a = -1 - b.
 
-All three are Jacobi weights s^b (1-s)^a with a, b in (-1, 0) and a + b = -1,
-so the total mass is exactly 1 by the reflection identity
-B(b+1, a+1) = pi / sin((b+1) pi).  Nodes and weights come from the symmetric
-tridiagonal Jacobi recurrence (Golub-Welsch); the weights are rescaled by the
-sine prefactor so they sum to 1.
+So a, b lie in (-1, 0) with a + b = -1, and the total mass is exactly 1 by
+the reflection identity B(b+1, a+1) = pi / sin((b+1) pi).  Nodes and weights
+come from the symmetric tridiagonal Jacobi recurrence (Golub-Welsch); the
+weights are rescaled by the sine prefactor so they sum to 1.
 """
 
 from __future__ import annotations
@@ -55,27 +53,17 @@ def mean_order_branch(r: float) -> str:
 
 
 def jacobi_exponents(r: float) -> tuple[float, float]:
-    """Exponents (a, b) of the weight s^b (1-s)^a for the branch of r."""
-    branch = mean_order_branch(r)
-    if branch == "r12":
-        return 1.0 - r, r - 2.0
-    if branch == "rneg":
-        return -(r + 1.0), r
-    if branch == "r01":
-        return -r, r - 1.0
-    raise PreconditionError(f"no quadrature measure at the endpoint r={r}")
+    """Exponents (a, b) of the weight s^b (1-s)^a: b = r - ceil(r), a = -1 - b."""
+    if mean_order_branch(r) == "endpoint":
+        raise PreconditionError(f"no quadrature measure at the endpoint r={r}")
+    b = r - math.ceil(r)
+    return -1.0 - b, b
 
 
 def sine_prefactor(r: float) -> float:
-    """Normalizing constant sin(. pi)/pi of the branch measure."""
-    branch = mean_order_branch(r)
-    if branch == "r12":
-        return math.sin((r - 1.0) * math.pi) / math.pi
-    if branch == "rneg":
-        return math.sin((r + 1.0) * math.pi) / math.pi
-    if branch == "r01":
-        return math.sin(r * math.pi) / math.pi
-    raise PreconditionError(f"no quadrature measure at the endpoint r={r}")
+    """Normalizing constant sin((b+1) pi)/pi of the measure, b = r - ceil(r)."""
+    _, b = jacobi_exponents(r)
+    return math.sin((b + 1.0) * math.pi) / math.pi
 
 
 @dataclass(frozen=True)

@@ -41,8 +41,6 @@ from .sectors import (
     _pd,
     _sectorial,
     derive_seed,
-    is_accretive,
-    in_sector,
 )
 
 __all__ = [
@@ -189,17 +187,12 @@ def sample_instance(check: Check, config: RunConfig, seed: int, trial: int) -> I
     for cls in classes:
         if cls in ("pd", "accretive"):
             M = _pd(dim, rng) if cls == "pd" else _accretive(dim, rng)
-            ok, margin = is_accretive(M)
-            if not ok:
-                raise InstanceRejected(f"{cls} draw has real-part margin {margin:.3e}")
         else:
             try:
                 cert = _sectorial(dim, alpha, rng)
             except RuntimeError as exc:
                 raise InstanceRejected(str(exc)) from None
             M = cert.matrix
-            if not in_sector(M, alpha):
-                raise InstanceRejected(f"sectorial draw escapes the angle-{alpha} sector")
             realized = max(realized, cert.angle)
         mats.append(M)
 

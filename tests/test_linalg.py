@@ -14,7 +14,6 @@ from sectormeans import (
 )
 from sectormeans.linalg import (
     as_matrix,
-    hermitian_eig,
     imag_part,
     inverse,
     is_hermitian,
@@ -75,18 +74,6 @@ def test_inverse_singular_raises():
         inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
-def test_hermitian_eig_ascending_and_reconstructs():
-    H = real_part(random_complex(5, 11))
-    w, V = hermitian_eig(H)
-    assert np.all(np.diff(w) >= 0)
-    np.testing.assert_allclose(V @ np.diag(w) @ V.conj().T, H, atol=1e-12)
-
-
-def test_hermitian_eig_requires_hermitian():
-    with pytest.raises(PreconditionError):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 def test_sqrt_pd_diagonal():
     X = sqrt_pd(np.diag([4.0, 9.0]))
     np.testing.assert_allclose(X, np.diag([2.0, 3.0]), atol=1e-12)
@@ -117,6 +104,9 @@ def test_loewner_examples():
     # the slack scales with the operands, so tiny matrices get no absolute floor
     holds, margin = loewner_leq(2e-12 * I2, 1e-12 * I2)
     assert not holds and margin == pytest.approx(-1e-12)
+    # the order is defined on Hermitian operands only
+    with pytest.raises(PreconditionError):
+        loewner_leq(np.array([[0.0, 1.0], [0.0, 0.0]]), I2)
 
 
 def test_loewner_tolerance_policy():

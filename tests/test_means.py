@@ -23,6 +23,7 @@ from sectormeans import (
     gen_accretive,
     gen_pd,
     gen_sectorial,
+    gen_unitary,
     geometric_mean,
     geometric_mean_integral,
     harmonic_mean,
@@ -106,6 +107,18 @@ def test_power_quad_matches_eigen(r):
         quad = principal_power_quad(A, r, 96)
         eig = principal_power_eigen(A, r)
         assert rel_err(quad, eig) <= 1e-8
+
+
+@pytest.mark.parametrize("r", [-0.6, 0.4, 1.7])
+def test_power_quad_normal_oracle(r):
+    # normal A = U diag(lam) U* has A^r = U diag(lam^r) U*; |lam| spans 3e4
+    # and arg(lam) reaches +-1.2, so the integrand's poles come close to [0, 1]
+    n = 6
+    U = gen_unitary(n, 5)
+    lam = np.logspace(0.0, math.log10(3e4), n) * np.exp(1j * np.linspace(-1.2, 1.2, n))
+    A = (U * lam) @ U.conj().T
+    expect = (U * lam**r) @ U.conj().T
+    assert rel_err(principal_power_quad(A, r, 80), expect) <= 1e-8
 
 
 def test_power_quad_node_doubling_stable():
@@ -222,6 +235,16 @@ def test_domain_tests_scale_invariant(c):
     B = gen_sectorial(4, 0.4, 2).matrix
     assert rel_err(principal_power_eigen(c * A, 0.5), c**0.5 * principal_power_eigen(A, 0.5)) <= 1e-12
     assert rel_err(geometric_mean(c * A, c * B, 1.5), c * geometric_mean(A, B, 1.5)) <= 1e-12
+    # the quadrature kernel centres the spectrum, so its routes are homogeneous too
+    assert rel_err(principal_power_quad(c * A, 0.5), c**0.5 * principal_power_quad(A, 0.5)) <= 1e-12
+    assert rel_err(
+        geometric_mean(c * A, c * B, 1.5, engine="quad"),
+        c * geometric_mean(A, B, 1.5, engine="quad"),
+    ) <= 1e-12
+    for r in (-0.4, 0.3, 1.5):
+        assert rel_err(
+            geometric_mean_integral(A, c * B, r), c**r * geometric_mean_integral(A, B, r)
+        ) <= 1e-12
     assert sector_angle(c * A) == pytest.approx(sector_angle(A), rel=1e-12)
     for alpha in (0.1, 0.6, 1.2):
         assert in_sector(c * A, alpha) == in_sector(A, alpha)
@@ -243,6 +266,23 @@ def test_integral_matches_congruence(r):
         direct = geometric_mean_integral(A, B, r, 80)
         cong = geometric_mean(A, B, r)
         assert rel_err(direct, cong) <= 1e-8
+
+
+@pytest.mark.parametrize("r", [-0.6, 0.4, 1.7])
+def test_mean_routes_match_mpmath(r):
+    # 30-digit congruence A^{1/2} (A^{-1/2} B A^{-1/2})^r A^{1/2}, computed
+    # with mpmath's own sqrtm and powm, against all three double routes
+    mp = pytest.importorskip("mpmath").mp
+    A = gen_sectorial(4, 1.2, 1).matrix
+    B = gen_sectorial(4, 1.2, 2).matrix
+    with mp.workdps(30):
+        root = mp.sqrtm(mp.matrix(A.tolist()))
+        root_inv = mp.inverse(root)
+        inner = root_inv * mp.matrix(B.tolist()) * root_inv
+        expect = np.array((root * mp.powm(inner, r) * root).tolist(), dtype=np.complex128)
+    assert rel_err(geometric_mean(A, B, r), expect) <= 1e-12
+    assert rel_err(geometric_mean(A, B, r, engine="quad"), expect) <= 1e-12
+    assert rel_err(geometric_mean_integral(A, B, r), expect) <= 1e-12
 
 
 def test_integral_collapses_when_equal():

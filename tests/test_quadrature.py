@@ -1,4 +1,4 @@
-"""Gauss-Jacobi rules for the three branch measures.
+"""Gauss-Jacobi rules for the branch measure of each mean order.
 
 Cross-checks: scipy.special.roots_jacobi for nodes/weights (after the affine
 map to (0,1)) and scipy.integrate.quad with an algebraic endpoint weight for
