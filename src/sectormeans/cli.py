@@ -30,7 +30,7 @@ from .means import (
     geometric_mean_integral,
     principal_power,
 )
-from .norms import NORM_KINDS, numerical_radius, ui_norm
+from .norms import norm_table, numerical_radius
 from .quadrature import DEFAULT_NODES
 from .runner import RunConfig, SuiteReport, replay_trial, run_suite
 from .sectors import is_accretive, sector_angle
@@ -139,10 +139,7 @@ def _cmd_compute(ns: argparse.Namespace) -> int:
         print(f"{numerical_radius(A):.12f}")
         return 0
     if ns.op == "norm":
-        n = A.shape[0]
-        values = {kind: ui_norm(A, kind) for kind in NORM_KINDS if kind != "kyfan"}
-        values["kyfan"] = [ui_norm(A, "kyfan", k) for k in range(1, n + 1)]
-        print(json.dumps(values))
+        print(json.dumps(norm_table(A)))
         return 0
     raise UsageError(f"unknown compute op {ns.op!r}")
 

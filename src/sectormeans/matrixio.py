@@ -8,6 +8,7 @@ shortest representation that reparses to the same double).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -33,10 +34,29 @@ def _entry(value, i: int, j: int) -> complex:
         raise MatrixFormatError(
             f"data[{i}][{j}] must be a [re, im] pair of numbers, got {value!r}"
         )
-    re, im = float(value[0]), float(value[1])
+    try:
+        re, im = float(value[0]), float(value[1])
+    except OverflowError:
+        raise MatrixFormatError(f"data[{i}][{j}] has an entry beyond the double range") from None
     if not (math.isfinite(re) and math.isfinite(im)):
         raise MatrixFormatError(f"data[{i}][{j}] has non-finite entry [{re}, {im}]")
     return complex(re, im)
+
+
+def _pairs(data: list, n: int) -> np.ndarray | None:
+    """data as an n x n complex128 array when every entry is a finite [re, im]
+    pair of numbers, in one array conversion; None otherwise."""
+    try:
+        pairs = np.array(data, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if pairs.shape != (n, n, 2) or not np.isfinite(pairs).all():
+        return None
+    # the conversion also takes bools and numeric strings, which the schema refuses
+    scalars = itertools.chain.from_iterable(itertools.chain.from_iterable(data))
+    if not set(map(type, scalars)) <= {int, float}:
+        return None
+    return pairs.view(np.complex128).reshape(n, n)
 
 
 def loads_matrix(text: str) -> np.ndarray:
@@ -56,6 +76,10 @@ def loads_matrix(text: str) -> np.ndarray:
     if not isinstance(data, list) or len(data) != n:
         got = len(data) if isinstance(data, list) else type(data).__name__
         raise MatrixFormatError(f"field 'data' must be a list of {n} rows, got {got}")
+    pairs = _pairs(data, n)
+    if pairs is not None:
+        return pairs
+    # a schema error: walk the entries in order to report the first one
     out = np.empty((n, n), dtype=np.complex128)
     for i, row in enumerate(data):
         if not isinstance(row, list) or len(row) != n:
@@ -68,12 +92,9 @@ def loads_matrix(text: str) -> np.ndarray:
 
 def dumps_matrix(A: np.ndarray) -> str:
     A = as_matrix(A)
-    n = A.shape[0]
-    payload = {
-        "n": n,
-        "data": [[[A[i, j].real, A[i, j].imag] for j in range(n)] for i in range(n)],
-    }
-    return json.dumps(payload)
+    rows = zip(A.real.tolist(), A.imag.tolist())
+    data = [[[x, y] for x, y in zip(re, im)] for re, im in rows]
+    return json.dumps({"n": A.shape[0], "data": data})
 
 
 def parse_matrix(path: Union[str, os.PathLike]) -> np.ndarray:

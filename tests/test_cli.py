@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sectormeans import dumps_matrix, loads_matrix
+from sectormeans import dumps_matrix, loads_matrix, ui_norm
 from sectormeans.cli import CSV_HEADER, main
 
 
@@ -115,6 +115,17 @@ def test_compute_norm_lists_all(tmp_path, capsys):
     assert d["trace"] == pytest.approx(3.0)
     assert d["frobenius"] == pytest.approx(math.sqrt(5.0))
     assert d["kyfan"] == pytest.approx([2.0, 3.0])
+
+
+def test_compute_norm_matches_ui_norm(tmp_path, capsys):
+    rng = np.random.default_rng(12)
+    A = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    path = put(tmp_path, "a.json", A)
+    code, out, _ = run_cli(capsys, "compute", "norm", path)
+    assert code == 0
+    expected = {kind: ui_norm(A, kind) for kind in ("operator", "frobenius", "trace")}
+    expected["kyfan"] = [ui_norm(A, "kyfan", k) for k in range(1, 13)]
+    assert out == json.dumps(expected) + "\n"
 
 
 def test_compute_missing_file(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """JSON matrix serialization: exact round-trips and precise error reporting."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -64,6 +66,37 @@ def test_entry_validation_names_position():
         loads_matrix('{"n": 2, "data": [[[1, 0], [0, 0]], [[NaN, 0], [1, 0]]]}')
     with pytest.raises(MatrixFormatError, match=r"data\[0\]\[0\]"):
         loads_matrix('{"n": 1, "data": [[[true, 0]]]}')
+
+
+def _per_entry_text(A):
+    n = A.shape[0]
+    data = [[[float(A[i, j].real), float(A[i, j].imag)] for j in range(n)] for i in range(n)]
+    return json.dumps({"n": n, "data": data})
+
+
+@pytest.mark.parametrize("A", [
+    np.array([[-0.0, 5e-324 - 0.0j], [1e308, complex(-1e308, -5e-324)]]),
+    np.array([[complex(-0.0, -0.0)]]),
+    np.random.default_rng(64).normal(size=(64, 64, 2)) @ [1.0, 1.0j],
+], ids=["extremes", "negative-zeros", "random64"])
+def test_dumps_matches_per_entry_text(A):
+    assert dumps_matrix(A) == _per_entry_text(A)
+
+
+def test_schema_refuses_numeric_strings_and_huge_integers():
+    with pytest.raises(MatrixFormatError, match=r"data\[1\]\[0\]"):
+        loads_matrix('{"n": 2, "data": [[[1, 0], [0, 0]], [["1", 0], [1, 0]]]}')
+    with pytest.raises(MatrixFormatError, match=r"data\[0\]\[1\].*double range"):
+        loads_matrix('{"n": 2, "data": [[[1, 0], [1%s, 0]], [[0, 0], [1, 0]]]}' % ("0" * 400))
+
+
+def test_file_round_trip_64(tmp_path):
+    rng = np.random.default_rng(7)
+    A = rng.normal(size=(64, 64)) * 10.0 ** rng.integers(-300, 300, size=(64, 64))
+    A = A + 1j * rng.normal(size=(64, 64))
+    path = tmp_path / "m64.json"
+    write_matrix(A, path)
+    assert np.array_equal(parse_matrix(path), A)
 
 
 def test_file_round_trip(tmp_path):

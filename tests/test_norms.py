@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sectormeans import (
     PreconditionError,
     dumps_matrix,
     gen_pd,
+    gen_sectorial,
     gen_unitary,
     numerical_radius,
     ui_norm,
@@ -135,6 +137,50 @@ def test_radius_sandwich_escape_is_typed(monkeypatch, tmp_path, capsys):
     assert code != 0
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err and "sandwich" in err
+
+
+def test_radius_mostly_one_pencil_solve(monkeypatch):
+    # the Newton climb reaches the peak, so one solve usually certifies it
+    rng = np.random.default_rng(8)
+    inputs = []
+    for seed in range(60):
+        n = 2 + seed % 7
+        alpha = float(rng.uniform(0.1, 1.4))
+        B = np.linalg.inv(gen_sectorial(n, alpha, 300 + seed).matrix)
+        inputs += [gen_sectorial(n, alpha, seed).matrix, gen_pd(n, seed), B @ B]
+    solves = []
+    solve = scipy.linalg.eigvals
+    monkeypatch.setattr(norms.scipy.linalg, "eigvals",
+                        lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
+    for A in inputs:
+        numerical_radius(A)
+    assert len(solves) / len(inputs) <= 1.5
+
+
+def _ellipse(a, b, phi):
+    # numerical range: the ellipse with foci +-a e^{i phi} and minor axis |b|,
+    # so its support peaks at phi and phi + pi with height sqrt(a^2 + b^2/4)
+    return np.exp(1j * phi) * np.array([[a, b], [0.0, -a]])
+
+
+def test_radius_restarts_from_the_lower_basin(monkeypatch):
+    # the higher peak, sqrt(1.01), lies between two sampled angles and the
+    # lower one, sqrt(0.9901), on a sampled angle, so the first climb starts
+    # in the lower basin and only a restart finds the global maximum
+    high, low = _ellipse(1.0, 0.2, math.pi / 16), _ellipse(0.99, 0.2, math.pi / 2)
+    A = scipy.linalg.block_diag(high, low)
+    starts = []
+    ascend = norms._ascend
+
+    def recorded(A, theta):
+        starts.append(theta)
+        return ascend(A, theta)
+
+    monkeypatch.setattr(norms, "_ascend", recorded)
+    assert numerical_radius(A) == pytest.approx(math.sqrt(1.01), rel=1e-12, abs=0.0)
+    assert math.cos(starts[0] - math.pi / 2) ** 2 == pytest.approx(1.0)
+    assert len(starts) >= 2
+    assert math.cos(starts[1] - math.pi / 16) ** 2 > 0.99
 
 
 def test_radius_subadditive():
