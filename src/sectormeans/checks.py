@@ -2,22 +2,27 @@
 
 Every entry states a claim about matrices drawn from its hypothesis classes
 ("pd", "accretive", "sectorial") and evaluates to a slack margin: the claim
-holds on a sampled instance when margin >= -tol * scale.  Loewner claims
-report lambda_min of the difference, scalar claims report the scalar slack,
-sector-membership claims the smallest of the three cone margins, and
-identity claims report minus the relative distance between the two sides.
+holds on a sampled instance when margin >= -tol * scale.
 
-Margins that depend on the sector angle are computed twice: once with the
-angle the generator was asked for (the primary, pass/fail margin) and once
-with the instance's realized angle (a strictly harder variant, reported as
-a secondary statistic).
+An inequality is a list of terms (lhs, rhs), each meaning lhs <= rhs: in the
+Loewner order for matrices (margin lambda_min(rhs - lhs)) and as plain
+numbers for floats (margin rhs - lhs).  The claim's margin is the smallest
+term margin, and a reversed or flipped claim swaps the sides of every term.
+Sector-membership claims report the smallest of the three cone margins and
+negate it under a flip; identity claims report minus the relative distance
+between the two sides and refuse a flip.
+
+A side that depends on the sector angle is a function of it, so its term is
+measured twice: once at the angle the generator was asked for (the primary,
+pass/fail margin) and once at the instance's realized angle (a strictly
+harder variant, reported as a secondary statistic).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -25,7 +30,7 @@ from .linalg import (
     PreconditionError,
     imag_part,
     inverse,
-    loewner_margin as _leq,
+    loewner_margin,
     op_norm,
     real_part,
 )
@@ -118,16 +123,7 @@ class Check:
 
 
 # ---------------------------------------------------------------------------
-# margin helpers
-
-
-def _sleq(lhs: float, rhs: float, flip: bool) -> tuple[float, float]:
-    margin = (lhs - rhs) if flip else (rhs - lhs)
-    return float(margin), max(abs(lhs), abs(rhs))
-
-
-def _merge(*pairs: tuple[float, float]) -> tuple[float, float]:
-    return min(p[0] for p in pairs), max(p[1] for p in pairs)
+# helpers
 
 
 def _rel(X: np.ndarray, Y: np.ndarray) -> float:
@@ -145,10 +141,6 @@ def _power(A: np.ndarray, r: float, ctx: EvalContext) -> np.ndarray:
     return _resolvent_mean(np.eye(len(A), dtype=np.complex128), A, r, ctx.nodes)
 
 
-def _real_mean(A: np.ndarray, B: np.ndarray, r: float, ctx: EvalContext) -> np.ndarray:
-    return real_part(_mean(real_part(A), real_part(B), r, ctx))
-
-
 def _sec(alpha: float) -> float:
     return 1.0 / math.cos(alpha)
 
@@ -163,113 +155,163 @@ def _branch_cos_exponent(r: float) -> float:
     return 2.0 * max(r - 1.0, -r, 0.0)
 
 
-def _with_strict(inst: Instance, at: Callable[[float], tuple[float, float]]) -> TrialEval:
-    margin, scale = at(inst.alpha)
-    strict = at(inst.alpha_realized)[0] if inst.alpha_realized != inst.alpha else margin
-    return TrialEval(margin, scale, strict)
-
-
-def _no_flip(check_name: str, flip: bool) -> None:
-    if flip:
-        raise PreconditionError(f"direction flip is undefined for {check_name}")
-
-
 # ---------------------------------------------------------------------------
-# inequality evaluators
+# claims: each term (lhs, rhs) states lhs <= rhs
 
 
-def _ev_inv_real_sandwich(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
+Side = Union[np.ndarray, float, Callable[[float], Union[np.ndarray, float]]]
+Term = tuple[Side, Side]
+TermsOf = Callable[[Instance, EvalContext], list[Term]]
+
+
+def _compare(lhs: Side, rhs: Side, alpha: float) -> tuple[float, float]:
+    """Margin and scale of one term, its angle-dependent sides taken at alpha."""
+    lhs = lhs(alpha) if callable(lhs) else lhs
+    rhs = rhs(alpha) if callable(rhs) else rhs
+    if isinstance(lhs, np.ndarray):
+        return loewner_margin(lhs, rhs)
+    return float(rhs - lhs), max(abs(lhs), abs(rhs))
+
+
+def _claims(terms_of: TermsOf, reverse: bool = False) -> Callable[..., TrialEval]:
+    """Check.evaluate for the claim that every term of terms_of holds.
+
+    reverse swaps the sides of every term, and so does a flip; the scale is
+    the largest term scale.
+    """
+
+    def evaluate(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
+        terms = terms_of(inst, ctx)
+        if flip != reverse:
+            terms = [(rhs, lhs) for lhs, rhs in terms]
+        measured = [_compare(lhs, rhs, inst.alpha) for lhs, rhs in terms]
+        margin = min(m for m, _ in measured)
+        strict = margin
+        if inst.alpha_realized != inst.alpha:
+            strict = min(
+                _compare(lhs, rhs, inst.alpha_realized)[0] if callable(lhs) or callable(rhs) else m
+                for (lhs, rhs), (m, _) in zip(terms, measured)
+            )
+        return TrialEval(margin, max(s for _, s in measured), strict)
+
+    return evaluate
+
+
+def _inv_real_sandwich(inst: Instance, ctx: EvalContext) -> list[Term]:
     re_of_inv = real_part(inverse(inst.A))
     inv_of_re = inverse(real_part(inst.A))
-    lower = _leq(re_of_inv, inv_of_re, flip)
-
-    def at(alpha: float) -> tuple[float, float]:
-        return _merge(lower, _leq(inv_of_re, _sec(alpha) ** 2 * re_of_inv, flip))
-
-    return _with_strict(inst, at)
+    return [(re_of_inv, inv_of_re), (inv_of_re, lambda alpha: _sec(alpha) ** 2 * re_of_inv)]
 
 
-def _ev_harmonic_real_lower(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
+def _harmonic_real_lower(inst: Instance, ctx: EvalContext) -> list[Term]:
     lhs = real_part(harmonic_mean(real_part(inst.A), real_part(inst.B), inst.r))
-    rhs = real_part(harmonic_mean(inst.A, inst.B, inst.r))
-    margin, scale = _leq(lhs, rhs, flip)
-    return TrialEval(margin, scale, margin)
+    return [(lhs, real_part(harmonic_mean(inst.A, inst.B, inst.r)))]
 
 
-def _ev_norm_sandwich(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
+def _norm_sandwich(inst: Instance, ctx: EvalContext) -> list[Term]:
     n_full = ui_norm(inst.A, inst.norm_kind, inst.norm_k)
     n_real = ui_norm(real_part(inst.A), inst.norm_kind, inst.norm_k)
-    upper = _sleq(n_real, n_full, flip)
-
-    def at(alpha: float) -> tuple[float, float]:
-        return _merge(_sleq(math.cos(alpha) * n_full, n_real, flip), upper)
-
-    return _with_strict(inst, at)
+    return [(lambda alpha: math.cos(alpha) * n_full, n_real), (n_real, n_full)]
 
 
-def _ev_radius_geo_upper(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
+def _radius_geo_upper(inst: Instance, ctx: EvalContext) -> list[Term]:
     w_a = numerical_radius(inst.A)
     w_b = numerical_radius(inst.B)
     w_mean = numerical_radius(_mean(inst.A, inst.B, inst.r, ctx))
     r = inst.r
-
-    def at(alpha: float) -> tuple[float, float]:
-        return _sleq(w_mean, _sec(alpha) ** 3 * w_a ** (1.0 - r) * w_b**r, flip)
-
-    return _with_strict(inst, at)
+    return [(w_mean, lambda alpha: _sec(alpha) ** 3 * w_a ** (1.0 - r) * w_b**r)]
 
 
-def _ev_radius_inverse_lower(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
+def _radius_inverse_lower(inst: Instance, ctx: EvalContext) -> list[Term]:
     w_a = numerical_radius(inst.A)
     w_inv = numerical_radius(inverse(inst.A))
-
-    def at(alpha: float) -> tuple[float, float]:
-        return _sleq(math.cos(alpha) ** 3 / w_a, w_inv, flip)
-
-    return _with_strict(inst, at)
+    return [(lambda alpha: math.cos(alpha) ** 3 / w_a, w_inv)]
 
 
-def _ev_map_schwarz(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
+def _map_schwarz(inst: Instance, ctx: EvalContext) -> list[Term]:
     phi = inst.phi
     phi_a, phi_b = apply_map(phi, inst.A), apply_map(phi, inst.B)
     lhs = phi_b @ inverse(phi_a) @ phi_b
-    rhs = apply_map(phi, inst.B @ inverse(inst.A) @ inst.B)
-    margin, scale = _leq(lhs, rhs, flip)
-    return TrialEval(margin, scale, margin)
+    return [(lhs, apply_map(phi, inst.B @ inverse(inst.A) @ inst.B))]
 
 
-def _power_real_compare(direction: str):
-    def ev(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
-        re_of_power = real_part(_power(inst.A, inst.r, ctx))
-        power_of_re = real_part(_power(real_part(inst.A), inst.r, ctx))
-        pair = (re_of_power, power_of_re) if direction == "leq" else (power_of_re, re_of_power)
-        margin, scale = _leq(*pair, flip)
-        return TrialEval(margin, scale, margin)
-
-    return ev
+def _power_real(inst: Instance, ctx: EvalContext) -> list[Term]:
+    """Re(A^r) <= (Re A)^r."""
+    re_of_power = real_part(_power(inst.A, inst.r, ctx))
+    return [(re_of_power, real_part(_power(real_part(inst.A), inst.r, ctx)))]
 
 
-def _geo_real_compare(direction: str):
-    def ev(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
-        mixed = real_part(_mean(inst.A, inst.B, inst.r, ctx))
-        hermitian = _real_mean(inst.A, inst.B, inst.r, ctx)
-        pair = (mixed, hermitian) if direction == "leq" else (hermitian, mixed)
-        margin, scale = _leq(*pair, flip)
-        return TrialEval(margin, scale, margin)
-
-    return ev
+def _geo_real(inst: Instance, ctx: EvalContext) -> list[Term]:
+    """Re(A #_r B) <= Re(A) #_r Re(B)."""
+    mixed = real_part(_mean(inst.A, inst.B, inst.r, ctx))
+    return [(mixed, real_part(_mean(real_part(inst.A), real_part(inst.B), inst.r, ctx)))]
 
 
-def _map_geo_compare(direction: str):
-    def ev(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
-        phi = inst.phi
-        mapped_mean = apply_map(phi, _mean(inst.A, inst.B, inst.r, ctx))
-        mean_of_maps = _mean(apply_map(phi, inst.A), apply_map(phi, inst.B), inst.r, ctx)
-        pair = (mapped_mean, mean_of_maps) if direction == "leq" else (mean_of_maps, mapped_mean)
-        margin, scale = _leq(*pair, flip)
-        return TrialEval(margin, scale, margin)
+def _map_geo(inst: Instance, ctx: EvalContext) -> list[Term]:
+    """Phi(A #_r B) <= Phi(A) #_r Phi(B)."""
+    phi = inst.phi
+    mapped_mean = apply_map(phi, _mean(inst.A, inst.B, inst.r, ctx))
+    return [(mapped_mean, _mean(apply_map(phi, inst.A), apply_map(phi, inst.B), inst.r, ctx))]
 
-    return ev
+
+def _geo_real_cos_lower(inst: Instance, ctx: EvalContext) -> list[Term]:
+    [(mixed, hermitian)] = _geo_real(inst, ctx)
+    expo = _branch_cos_exponent(inst.r)
+    return [(lambda alpha: math.cos(alpha) ** expo * hermitian, mixed)]
+
+
+def _geo_real_sec2_upper(inst: Instance, ctx: EvalContext) -> list[Term]:
+    [(mixed, hermitian)] = _geo_real(inst, ctx)
+    return [(mixed, lambda alpha: _sec(alpha) ** 2 * hermitian)]
+
+
+def _nabla_cos_lower(inst: Instance, ctx: EvalContext) -> list[Term]:
+    mixed = real_part(_mean(inst.A, inst.B, inst.r, ctx))
+    nabla = real_part(arithmetic_mean(inst.A, inst.B, inst.r))
+    expo = _branch_cos_exponent(inst.r)
+    return [(lambda alpha: math.cos(alpha) ** expo * nabla, mixed)]
+
+
+def _map_real_cos_lower(inst: Instance, ctx: EvalContext) -> list[Term]:
+    mapped, mean_of_maps = (real_part(M) for M in _map_geo(inst, ctx)[0])
+    expo = _branch_cos_exponent(inst.r)
+    return [(lambda alpha: math.cos(alpha) ** expo * mean_of_maps, mapped)]
+
+
+def _map_norm_cos_lower(inst: Instance, ctx: EvalContext) -> list[Term]:
+    n_mapped, n_mean = (ui_norm(M, inst.norm_kind, inst.norm_k) for M in _map_geo(inst, ctx)[0])
+    return [(lambda alpha: math.cos(alpha) ** 2 * n_mean, n_mapped)]
+
+
+def _radius_cos6_lower(base: str, literal_negated_order: bool = False) -> TermsOf:
+    def terms(inst: Instance, ctx: EvalContext) -> list[Term]:
+        A, B, r = inst.A, inst.B, inst.r
+        w_a, w_b = numerical_radius(A), numerical_radius(B)
+        Minv = inverse(B if base == "B" else A)
+        w_inv_sq = numerical_radius(Minv @ Minv)
+        order = -r if literal_negated_order else r
+        w_mean = numerical_radius(_mean(A, B, order, ctx))
+        if base == "B":
+            coeff = w_a ** (1.0 - r) * w_b ** (r - 2.0)
+        else:
+            coeff = w_a ** (-(r + 1.0)) * w_b**r
+        return [(lambda alpha: math.cos(alpha) ** 6 * coeff / w_inv_sq, w_mean)]
+
+    return terms
+
+
+def _amgm_chain(inst: Instance, ctx: EvalContext) -> list[Term]:
+    A, B, r = inst.A, inst.B, inst.r
+    geo = _mean(A, B, r, ctx)
+    return [(harmonic_mean(A, B, r), geo), (geo, arithmetic_mean(A, B, r))]
+
+
+def _nabla_reverse(inst: Instance, ctx: EvalContext) -> list[Term]:
+    return [(arithmetic_mean(inst.A, inst.B, inst.r), _mean(inst.A, inst.B, inst.r, ctx))]
+
+
+# ---------------------------------------------------------------------------
+# membership evaluator
 
 
 def _ev_sector_closure(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
@@ -294,116 +336,14 @@ def _ev_sector_closure(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEva
     return TrialEval(margin, scale, strict)
 
 
-def _ev_geo_real_cos_lower(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
-    mixed = real_part(_mean(inst.A, inst.B, inst.r, ctx))
-    hermitian = _real_mean(inst.A, inst.B, inst.r, ctx)
-    expo = _branch_cos_exponent(inst.r)
-
-    def at(alpha: float) -> tuple[float, float]:
-        return _leq(math.cos(alpha) ** expo * hermitian, mixed, flip)
-
-    return _with_strict(inst, at)
-
-
-def _ev_geo_real_sec2_upper(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
-    mixed = real_part(_mean(inst.A, inst.B, inst.r, ctx))
-    hermitian = _real_mean(inst.A, inst.B, inst.r, ctx)
-
-    def at(alpha: float) -> tuple[float, float]:
-        return _leq(mixed, _sec(alpha) ** 2 * hermitian, flip)
-
-    return _with_strict(inst, at)
-
-
-def _ev_nabla_cos_lower(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
-    mixed = real_part(_mean(inst.A, inst.B, inst.r, ctx))
-    nabla = real_part(arithmetic_mean(inst.A, inst.B, inst.r))
-    expo = _branch_cos_exponent(inst.r)
-
-    def at(alpha: float) -> tuple[float, float]:
-        return _leq(math.cos(alpha) ** expo * nabla, mixed, flip)
-
-    return _with_strict(inst, at)
-
-
-def _ev_map_real_cos_lower(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
-    phi = inst.phi
-    mapped = real_part(apply_map(phi, _mean(inst.A, inst.B, inst.r, ctx)))
-    mean_of_maps = real_part(
-        _mean(apply_map(phi, inst.A), apply_map(phi, inst.B), inst.r, ctx)
-    )
-    expo = _branch_cos_exponent(inst.r)
-
-    def at(alpha: float) -> tuple[float, float]:
-        return _leq(math.cos(alpha) ** expo * mean_of_maps, mapped, flip)
-
-    return _with_strict(inst, at)
-
-
-def _ev_map_norm_cos_lower(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
-    phi = inst.phi
-    n_mapped = ui_norm(
-        apply_map(phi, _mean(inst.A, inst.B, inst.r, ctx)), inst.norm_kind, inst.norm_k
-    )
-    n_mean = ui_norm(
-        _mean(apply_map(phi, inst.A), apply_map(phi, inst.B), inst.r, ctx),
-        inst.norm_kind,
-        inst.norm_k,
-    )
-
-    def at(alpha: float) -> tuple[float, float]:
-        return _sleq(math.cos(alpha) ** 2 * n_mean, n_mapped, flip)
-
-    return _with_strict(inst, at)
-
-
-def _radius_cos6_lower(base: str, literal_negated_order: bool = False):
-    def ev(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
-        A, B, r = inst.A, inst.B, inst.r
-        w_a, w_b = numerical_radius(A), numerical_radius(B)
-        if base == "B":
-            Minv = inverse(B)
-            coeff = lambda: w_a ** (1.0 - r) * w_b ** (r - 2.0)
-        else:
-            Minv = inverse(A)
-            coeff = lambda: w_a ** (-(r + 1.0)) * w_b**r
-        w_inv_sq = numerical_radius(Minv @ Minv)
-        order = -r if literal_negated_order else r
-        w_mean = numerical_radius(_mean(A, B, order, ctx))
-
-        def at(alpha: float) -> tuple[float, float]:
-            return _sleq(math.cos(alpha) ** 6 * coeff() / w_inv_sq, w_mean, flip)
-
-        return _with_strict(inst, at)
-
-    return ev
-
-
-def _ev_amgm_chain(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
-    A, B, r = inst.A, inst.B, inst.r
-    geo = _mean(A, B, r, ctx)
-    low = _leq(harmonic_mean(A, B, r), geo, flip)
-    high = _leq(geo, arithmetic_mean(A, B, r), flip)
-    margin, scale = _merge(low, high)
-    return TrialEval(margin, scale, margin)
-
-
-def _ev_nabla_reverse(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
-    margin, scale = _leq(
-        arithmetic_mean(inst.A, inst.B, inst.r),
-        _mean(inst.A, inst.B, inst.r, ctx),
-        flip,
-    )
-    return TrialEval(margin, scale, margin)
-
-
 # ---------------------------------------------------------------------------
 # identity evaluators
 
 
 def _identity_eval(fn: Callable[[Instance, EvalContext], float], name: str):
     def ev(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
-        _no_flip(name, flip)
+        if flip:
+            raise PreconditionError(f"direction flip is undefined for {name}")
         rel = fn(inst, ctx)
         return TrialEval(-rel, 1.0, -rel)
 
@@ -467,60 +407,60 @@ def _build_catalog() -> tuple[list[Check], list[Check]]:
         Check(
             id="C01", name="inv-real-sandwich", kind="loewner", args=("sectorial",),
             anchor="Re(inv(A)) <= inv(Re(A)) <= sec(alpha)^2*Re(inv(A)) for A in S_alpha",
-            evaluate=_ev_inv_real_sandwich,
+            evaluate=_claims(_inv_real_sandwich),
         ),
         Check(
             id="C02", name="harmonic-real-lower", kind="loewner",
             args=("accretive", "accretive"), r_intervals=(R01,),
             anchor="Re(A !_r B) >= Re(A) !_r Re(B) for accretive A, B and r in (0,1)",
-            evaluate=_ev_harmonic_real_lower,
+            evaluate=_claims(_harmonic_real_lower),
         ),
         Check(
             id="C03", name="norm-sandwich", kind="scalar", args=("sectorial",),
             uses_norm=True,
             anchor="cos(alpha)*|||A||| <= |||Re(A)||| <= |||A||| for A in S_alpha",
-            evaluate=_ev_norm_sandwich,
+            evaluate=_claims(_norm_sandwich),
         ),
         Check(
             id="C04", name="radius-geo-upper", kind="scalar",
             args=("sectorial", "sectorial"), r_intervals=(R01,),
             anchor="w(A #_r B) <= sec(alpha)^3 * w(A)^(1-r) * w(B)^r for A, B in S_alpha, r in [0,1]",
-            evaluate=_ev_radius_geo_upper,
+            evaluate=_claims(_radius_geo_upper),
         ),
         Check(
             id="C05", name="radius-inverse-lower", kind="scalar", args=("sectorial",),
             anchor="w(inv(A)) >= cos(alpha)^3 / w(A) for A in S_alpha",
-            evaluate=_ev_radius_inverse_lower,
+            evaluate=_claims(_radius_inverse_lower),
         ),
         Check(
             id="C06", name="map-schwarz", kind="loewner", args=("pd", "pd"),
             uses_map=True,
             anchor="Phi(B) inv(Phi(A)) Phi(B) <= Phi(B inv(A) B) for A, B > 0",
-            evaluate=_ev_map_schwarz,
+            evaluate=_claims(_map_schwarz),
         ),
         Check(
             id="C07", name="power-real-upper-12", kind="loewner", args=("accretive",),
             r_intervals=(R12,),
             anchor="Re(A^r) <= (Re A)^r for accretive A, r in (1,2)",
-            evaluate=_power_real_compare("leq"),
+            evaluate=_claims(_power_real),
         ),
         Check(
             id="C08", name="power-real-lower-01", kind="loewner", args=("accretive",),
             r_intervals=(R01,),
             anchor="Re(A^r) >= (Re A)^r for accretive A, r in [0,1]",
-            evaluate=_power_real_compare("geq"),
+            evaluate=_claims(_power_real, reverse=True),
         ),
         Check(
             id="C09", name="geo-real-upper-12", kind="loewner",
             args=("accretive", "accretive"), r_intervals=(R12,),
             anchor="Re(A #_r B) <= Re(A) #_r Re(B) for accretive A, B, r in (1,2)",
-            evaluate=_geo_real_compare("leq"),
+            evaluate=_claims(_geo_real),
         ),
         Check(
             id="C10", name="map-geo-reverse-12-pd", kind="loewner", args=("pd", "pd"),
             r_intervals=(R12,), uses_map=True,
             anchor="Phi(A #_r B) >= Phi(A) #_r Phi(B) for A, B > 0, r in (1,2)",
-            evaluate=_map_geo_compare("geq"),
+            evaluate=_claims(_map_geo, reverse=True),
         ),
         Check(
             id="C11", name="sector-closure-12", kind="membership",
@@ -532,37 +472,37 @@ def _build_catalog() -> tuple[list[Check], list[Check]]:
             id="C12", name="geo-real-lower-12", kind="loewner",
             args=("sectorial", "pd"), r_intervals=(R12,),
             anchor="cos(alpha)^(2r-2)*(Re(A) #_r Re(B)) <= Re(A #_r B) for A in S_alpha, B > 0, r in (1,2)",
-            evaluate=_ev_geo_real_cos_lower,
+            evaluate=_claims(_geo_real_cos_lower),
         ),
         Check(
             id="C13", name="nabla-lower-12", kind="loewner",
             args=("sectorial", "pd"), r_intervals=(R12,),
             anchor="cos(alpha)^(2r-2)*Re((1-r)A + rB) <= Re(A #_r B) for A in S_alpha, B > 0, r in (1,2)",
-            evaluate=_ev_nabla_cos_lower,
+            evaluate=_claims(_nabla_cos_lower),
         ),
         Check(
             id="C14", name="map-real-lower-12", kind="loewner",
             args=("sectorial", "pd"), r_intervals=(R12,), uses_map=True,
             anchor="cos(alpha)^(2r-2)*Re(Phi(A) #_r Phi(B)) <= Re(Phi(A #_r B)) for A in S_alpha, B > 0, r in (1,2)",
-            evaluate=_ev_map_real_cos_lower,
+            evaluate=_claims(_map_real_cos_lower),
         ),
         Check(
             id="C15", name="map-norm-lower-12", kind="scalar",
             args=("sectorial", "pd"), r_intervals=(R12,), uses_map=True, uses_norm=True,
             anchor="cos(alpha)^2*|||Phi(A) #_r Phi(B)||| <= |||Phi(A #_r B)||| for A in S_alpha, B > 0, r in (1,2)",
-            evaluate=_ev_map_norm_cos_lower,
+            evaluate=_claims(_map_norm_cos_lower),
         ),
         Check(
             id="C16", name="radius-lower-12", kind="scalar",
             args=("sectorial", "pd"), r_intervals=(R12,),
             anchor="w(A #_r B) >= cos(alpha)^6 * w(A)^(1-r) * w(B)^(r-2) / w(inv(B)^2) for A in S_alpha, B > 0, r in (1,2)",
-            evaluate=_radius_cos6_lower("B"),
+            evaluate=_claims(_radius_cos6_lower("B")),
         ),
         Check(
             id="C17", name="geo-real-upper-neg", kind="loewner",
             args=("accretive", "accretive"), r_intervals=(RNEG,),
             anchor="Re(A #_r B) <= Re(A) #_r Re(B) for accretive A, B, r in (-1,0)",
-            evaluate=_geo_real_compare("leq"),
+            evaluate=_claims(_geo_real),
         ),
         Check(
             id="C18", name="sector-closure-neg", kind="membership",
@@ -574,67 +514,67 @@ def _build_catalog() -> tuple[list[Check], list[Check]]:
             id="C19", name="geo-real-lower-neg", kind="loewner",
             args=("pd", "sectorial"), r_intervals=(RNEG,),
             anchor="cos(alpha)^(-2r)*(Re(A) #_r Re(B)) <= Re(A #_r B) for A > 0, B in S_alpha, r in (-1,0)",
-            evaluate=_ev_geo_real_cos_lower,
+            evaluate=_claims(_geo_real_cos_lower),
         ),
         Check(
             id="C20", name="nabla-lower-neg", kind="loewner",
             args=("pd", "sectorial"), r_intervals=(RNEG,),
             anchor="cos(alpha)^(-2r)*Re((1-r)A + rB) <= Re(A #_r B) for A > 0, B in S_alpha, r in (-1,0)",
-            evaluate=_ev_nabla_cos_lower,
+            evaluate=_claims(_nabla_cos_lower),
         ),
         Check(
             id="C21", name="map-real-lower-neg", kind="loewner",
             args=("pd", "sectorial"), r_intervals=(RNEG,), uses_map=True,
             anchor="cos(alpha)^(-2r)*Re(Phi(A) #_r Phi(B)) <= Re(Phi(A #_r B)) for A > 0, B in S_alpha, r in (-1,0)",
-            evaluate=_ev_map_real_cos_lower,
+            evaluate=_claims(_map_real_cos_lower),
         ),
         Check(
             id="C22", name="map-norm-lower-neg", kind="scalar",
             args=("pd", "sectorial"), r_intervals=(RNEG,), uses_map=True, uses_norm=True,
             anchor="cos(alpha)^2*|||Phi(A) #_r Phi(B)||| <= |||Phi(A #_r B)||| for A > 0, B in S_alpha, r in (-1,0)",
-            evaluate=_ev_map_norm_cos_lower,
+            evaluate=_claims(_map_norm_cos_lower),
         ),
         Check(
             id="C23", name="radius-lower-neg", kind="scalar",
             args=("pd", "sectorial"), r_intervals=(RNEG,),
             anchor="w(A #_r B) >= cos(alpha)^6 * w(A)^(-(r+1)) * w(B)^r / w(inv(A)^2) for A > 0, B in S_alpha, r in (-1,0)",
-            evaluate=_radius_cos6_lower("A"),
+            evaluate=_claims(_radius_cos6_lower("A")),
         ),
         Check(
             id="C24", name="amgm-chain-01", kind="loewner", args=("pd", "pd"),
             r_intervals=(R01,),
             anchor="A !_r B <= A #_r B <= (1-r)A + rB for A, B > 0, r in [0,1]",
-            evaluate=_ev_amgm_chain,
+            evaluate=_claims(_amgm_chain),
         ),
         Check(
             id="C25", name="nabla-reverse-pd", kind="loewner", args=("pd", "pd"),
             r_intervals=(R12, RNEG),
             anchor="(1-r)A + rB <= A #_r B for A, B > 0, r in (1,2) or r in (-1,0)",
-            evaluate=_ev_nabla_reverse,
+            evaluate=_claims(_nabla_reverse),
         ),
         Check(
             id="C26", name="map-geo-forward-01-pd", kind="loewner", args=("pd", "pd"),
             r_intervals=(R01,), uses_map=True,
             anchor="Phi(A #_r B) <= Phi(A) #_r Phi(B) for A, B > 0, r in [0,1]",
-            evaluate=_map_geo_compare("leq"),
+            evaluate=_claims(_map_geo),
         ),
         Check(
             id="C27", name="map-geo-reverse-neg-pd", kind="loewner", args=("pd", "pd"),
             r_intervals=(RNEG,), uses_map=True,
             anchor="Phi(A #_r B) >= Phi(A) #_r Phi(B) for A, B > 0, r in (-1,0)",
-            evaluate=_map_geo_compare("geq"),
+            evaluate=_claims(_map_geo, reverse=True),
         ),
         Check(
             id="C28", name="geo-real-lower-01", kind="loewner",
             args=("accretive", "accretive"), r_intervals=(R01,),
             anchor="Re(A #_r B) >= Re(A) #_r Re(B) for accretive A, B, r in (0,1)",
-            evaluate=_geo_real_compare("geq"),
+            evaluate=_claims(_geo_real, reverse=True),
         ),
         Check(
             id="C29", name="geo-real-sec2-upper-01", kind="loewner",
             args=("sectorial", "sectorial"), r_intervals=(R01,),
             anchor="Re(A #_r B) <= sec(alpha)^2*(Re(A) #_r Re(B)) for A, B in S_alpha, r in [0,1]",
-            evaluate=_ev_geo_real_sec2_upper,
+            evaluate=_claims(_geo_real_sec2_upper),
         ),
         Check(
             id="I01", name="reflection-identity", kind="identity",
@@ -678,7 +618,7 @@ def _build_catalog() -> tuple[list[Check], list[Check]]:
             id="X23", name="radius-lower-neg-literal", kind="scalar",
             args=("pd", "sectorial"), r_intervals=(RNEG,), informational=True,
             anchor="w(A #_(-r) B) >= cos(alpha)^6 * w(A)^(-(r+1)) * w(B)^r / w(inv(A)^2) for A > 0, B in S_alpha, r in (-1,0); statement-literal variant, no pass/fail weight",
-            evaluate=_radius_cos6_lower("A", literal_negated_order=True),
+            evaluate=_claims(_radius_cos6_lower("A", literal_negated_order=True)),
         ),
     ]
     return main, informational
@@ -689,13 +629,23 @@ _BY_ID = {c.id: c for c in _MAIN + _INFORMATIONAL}
 
 SUITE_NAMES = ("all", "r01", "r12", "rneg", "identities")
 
+
+def _branch_ids(interval: tuple[float, float]) -> tuple[str, ...]:
+    """The inequalities of one r-branch; those without an interval go to r01."""
+    return tuple(
+        c.id for c in _MAIN
+        if c.kind != "identity"
+        and (interval in c.r_intervals or (interval == R01 and not c.r_intervals))
+    )
+
+
 _SUITE_IDS = {
-    "r01": ("C01", "C02", "C03", "C04", "C05", "C06", "C08", "C24", "C26", "C28", "C29"),
-    "r12": ("C07", "C09", "C10", "C11", "C12", "C13", "C14", "C15", "C16", "C25"),
-    "rneg": ("C17", "C18", "C19", "C20", "C21", "C22", "C23", "C25", "C27"),
-    "identities": ("I01", "I02", "I03", "I04", "I05", "I06"),
+    "r01": _branch_ids(R01),
+    "r12": _branch_ids(R12),
+    "rneg": _branch_ids(RNEG),
+    "identities": tuple(c.id for c in _MAIN if c.kind == "identity"),
+    "all": tuple(c.id for c in _MAIN),
 }
-_SUITE_IDS["all"] = tuple(c.id for c in _MAIN)
 
 
 def catalog() -> list[Check]:

@@ -108,18 +108,16 @@ def sqrt_pd(H: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(w)) @ V.conj().T
 
 
-def loewner_margin(lhs: np.ndarray, rhs: np.ndarray, flip: bool = False) -> tuple[float, float]:
+def loewner_margin(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, float]:
     """Margin and scale of the Loewner comparison lhs <= rhs.
 
-    With D the Hermitian part of rhs - lhs, margin = lambda_min(D), or
-    -lambda_max(D) for the reversed claim when flip is set; scale =
+    margin = lambda_min of the Hermitian part of rhs - lhs; scale =
     max(||lhs||, ||rhs||), so the comparison is invariant under scaling both
     operands.  Operands are trusted arrays; nothing is validated here.
     """
     diff = rhs - lhs
     evals = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
-    margin = float(-evals[-1]) if flip else float(evals[0])
-    return margin, max(op_norm(lhs), op_norm(rhs))
+    return float(evals[0]), max(op_norm(lhs), op_norm(rhs))
 
 
 def loewner_leq(H: np.ndarray, K: np.ndarray) -> tuple[bool, float]:

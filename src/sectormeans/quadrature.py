@@ -24,6 +24,7 @@ from .linalg import PreconditionError
 __all__ = [
     "DEFAULT_NODES",
     "MIN_NODES",
+    "MAX_NODES",
     "QuadratureRule",
     "mean_order_branch",
     "jacobi_exponents",
@@ -33,6 +34,9 @@ __all__ = [
 
 DEFAULT_NODES = 80
 MIN_NODES = 4
+# The Golub-Welsch solve builds an m x m eigenvector matrix, so the node
+# count is capped where it enters rather than left to exhaust memory.
+MAX_NODES = 1024
 MASS_TOL = 1e-12
 
 
@@ -120,8 +124,8 @@ def quadrature_rule(r: float, n_nodes: int = DEFAULT_NODES) -> QuadratureRule:
     if mean_order_branch(r) == "endpoint":
         raise PreconditionError(f"no quadrature rule at the endpoint r={r}")
     n_nodes = int(n_nodes)
-    if n_nodes < MIN_NODES:
-        raise PreconditionError(f"need at least {MIN_NODES} nodes, got {n_nodes}")
+    if not MIN_NODES <= n_nodes <= MAX_NODES:
+        raise PreconditionError(f"need {MIN_NODES}..{MAX_NODES} nodes, got {n_nodes}")
     a, b = jacobi_exponents(r)
     if not (-1.0 < a < 0.0 and -1.0 < b < 0.0):
         raise PreconditionError(f"weight exponents out of range: a={a}, b={b}")

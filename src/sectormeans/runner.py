@@ -34,7 +34,7 @@ from .linalg import PreconditionError, SingularMatrixError
 from .maps import MAP_KINDS, random_map
 from .means import EigenbasisConditionError, PrincipalBranchError
 from .norms import NORM_KINDS
-from .quadrature import DEFAULT_NODES, MIN_NODES
+from .quadrature import DEFAULT_NODES, MAX_NODES, MIN_NODES
 from .sectors import (
     MAX_DIM,
     _accretive,
@@ -84,8 +84,11 @@ class RunConfig:
             raise PreconditionError(
                 f"need 1 <= dim_min <= dim_max <= {MAX_DIM}, got {self.dim_min}..{self.dim_max}"
             )
-        if self.nodes < MIN_NODES:
-            raise PreconditionError(f"nodes must be >= {MIN_NODES}, got {self.nodes}")
+        # the refinement pass runs at 2 * nodes, so that count must fit the cap too
+        if not MIN_NODES <= self.nodes <= MAX_NODES // 2:
+            raise PreconditionError(
+                f"nodes must lie in {MIN_NODES}..{MAX_NODES // 2}, got {self.nodes}"
+            )
         if not self.tol > 0.0:
             raise PreconditionError(f"tol must be positive, got {self.tol}")
         if not self.alphas or not all(0.0 <= a < math.pi / 2 for a in self.alphas):

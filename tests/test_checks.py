@@ -25,6 +25,7 @@ from sectormeans import (
     suite_ids,
 )
 from sectormeans.checks import SUITE_NAMES, _branch_cos_exponent
+from sectormeans.quadrature import MAX_NODES
 from sectormeans.runner import _sample_r
 
 INTERVALS = {(0.0, 1.0), (1.0, 2.0), (-1.0, 0.0)}
@@ -74,7 +75,7 @@ def test_suites_partition_catalog():
         union |= set(suite_ids(name))
     assert set(suite_ids("all")) == union
     assert len(suite_ids("identities")) == 6
-    # each hand-kept list holds exactly the checks its r-intervals assign to it
+    # each suite holds exactly the checks its r-intervals assign to it, in catalog order
     main = catalog()
     inequalities = [c for c in main if c.kind != "identity"]
     for name, interval in (("r12", (1.0, 2.0)), ("rneg", (-1.0, 0.0))):
@@ -111,6 +112,10 @@ def test_runconfig_validation():
         RunConfig(alphas=(1.6,))
     with pytest.raises(PreconditionError):
         RunConfig(nodes=2)
+    # the refinement pass doubles the count, which must stay within the cap
+    with pytest.raises(PreconditionError, match="nodes"):
+        RunConfig(nodes=MAX_NODES)
+    assert RunConfig(nodes=MAX_NODES // 2).nodes == MAX_NODES // 2
 
 
 def test_sample_r_stays_inside_open_interval():
@@ -182,6 +187,35 @@ def test_pd_sharpness_collapses_margin():
         assert res.violations == 0
         assert flipped.violations == 0
         assert abs(res.worst_margin) <= 1e-8
+
+
+@pytest.mark.parametrize("cid, mirror", [("C07", "C08"), ("C09", "C28"), ("C10", "C26")])
+def test_reversed_claim_equals_flipped_mirror(cid, mirror):
+    """C08, C28 and C10 state the terms of C07, C09 and C26 with the sides
+    swapped, which is what a flip does: the evaluations agree to the bit."""
+    cfg = small_config()
+    ctx = EvalContext(nodes=cfg.nodes)
+    check, twin = check_by_id(cid), check_by_id(mirror)
+    for trial in range(6):
+        inst = sample_instance(check, cfg, 1000 + trial, trial)
+        flipped, mirrored = check.evaluate(inst, ctx, True), twin.evaluate(inst, ctx, False)
+        assert mirrored.margin == flipped.margin
+        assert mirrored.scale == flipped.scale
+        assert mirrored.margin_strict == flipped.margin_strict
+
+
+def test_flipped_scalar_claim_negates_both_margins():
+    """C05 is one scalar term whose lhs depends on the angle: a flip negates
+    the margin at the requested angle and at the realized one."""
+    cfg = small_config()
+    ctx = EvalContext(nodes=cfg.nodes)
+    check = check_by_id("C05")
+    for trial in range(6):
+        inst = sample_instance(check, cfg, 2000 + trial, trial)
+        assert inst.alpha_realized != inst.alpha
+        ev, flipped = check.evaluate(inst, ctx, False), check.evaluate(inst, ctx, True)
+        assert (flipped.margin, flipped.scale) == (-ev.margin, ev.scale)
+        assert flipped.margin_strict == -ev.margin_strict
 
 
 def test_run_suite_filters_and_reports():

@@ -15,6 +15,7 @@ import pytest
 
 from sectormeans import dumps_matrix, loads_matrix, ui_norm
 from sectormeans.cli import CSV_HEADER, main
+from sectormeans.quadrature import MAX_NODES
 
 
 def put(tmp_path, name, M):
@@ -126,6 +127,19 @@ def test_compute_norm_matches_ui_norm(tmp_path, capsys):
     expected = {kind: ui_norm(A, kind) for kind in ("operator", "frobenius", "trace")}
     expected["kyfan"] = [ui_norm(A, "kyfan", k) for k in range(1, 13)]
     assert out == json.dumps(expected) + "\n"
+
+
+def test_node_count_above_cap_exits_two(tmp_path, capsys):
+    """A count past MAX_NODES is refused before any rule is built."""
+    path = put(tmp_path, "a.json", np.diag([1.0, 4.0]))
+    too_many = str(MAX_NODES + 1)
+    for argv in (("compute", "power", path, "--r", "0.5", "--nodes", too_many),
+                 ("verify", "r12", "--check", "C09", "--trials", "1", "--nodes", too_many,
+                  "--out", str(tmp_path / "rep.json"))):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "nodes" in err
+    assert not (tmp_path / "rep.json").exists()
 
 
 def test_compute_missing_file(tmp_path, capsys):

@@ -21,6 +21,7 @@ from sectormeans import (
     quadrature_rule,
     sine_prefactor,
 )
+from sectormeans.quadrature import MAX_NODES
 
 BRANCH_SAMPLES = [(-0.7, "rneg"), (-0.2, "rneg"), (0.3, "r01"), (0.5, "r01"),
                   (0.9, "r01"), (1.2, "r12"), (1.5, "r12"), (1.8, "r12")]
@@ -108,6 +109,8 @@ def test_rule_validation():
         quadrature_rule(0.0, 16)
     with pytest.raises(PreconditionError):
         quadrature_rule(0.5, 2)
+    with pytest.raises(PreconditionError, match=str(MAX_NODES)):
+        quadrature_rule(0.5, MAX_NODES + 1)
     assert len(good) == 8
 
 

@@ -5,6 +5,8 @@ import importlib.util
 import json
 import pathlib
 
+from sectormeans import RunConfig
+
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
 
 
@@ -30,3 +32,8 @@ def test_json_and_csv_agree(tmp_path, capsys):
             assert int(row["violations"]) == c["violations"]
             assert float(row["worst_margin"]) == c["worst_margin"]
             assert int(row["worst_seed"]) == c["worst_seed"]
+
+
+def test_defaults_follow_run_config():
+    _, config = load_script().parse_args([])
+    assert config == RunConfig()
