@@ -49,18 +49,15 @@ from .maps import (
     MAP_KINDS,
     Compression,
     Pinching,
-    PositiveUnitalMap,
     TraceAverage,
     UnitaryMixture,
     apply_map,
     random_map,
 )
-from .norms import NORM_KINDS, numerical_radius, ui_norm
-from .checks import Check, EvalContext, catalog, check_by_id, informational_catalog, suite_ids
+from .norms import numerical_radius, ui_norm
+from .checks import EvalContext, catalog, check_by_id, informational_catalog, suite_ids
 from .runner import (
-    CheckResult,
     RunConfig,
-    SuiteReport,
     replay_trial,
     run_check,
     run_suite,
@@ -74,23 +71,18 @@ __all__ = [
     "DEFAULT_NODES",
     "MAX_DIM",
     "MAP_KINDS",
-    "NORM_KINDS",
-    "Check",
-    "CheckResult",
     "Compression",
     "EigenbasisConditionError",
     "EvalContext",
     "MatrixFormatError",
     "NonAccretiveWarning",
     "Pinching",
-    "PositiveUnitalMap",
     "PreconditionError",
     "PrincipalBranchError",
     "QuadratureRule",
     "RunConfig",
     "SectorCertificate",
     "SingularMatrixError",
-    "SuiteReport",
     "TraceAverage",
     "UnitaryMixture",
     "apply_map",

@@ -159,40 +159,50 @@ def _branch_cos_exponent(r: float) -> float:
 # claims: each term (lhs, rhs) states lhs <= rhs
 
 
-Side = Union[np.ndarray, float, Callable[[float], Union[np.ndarray, float]]]
+Value = Union[np.ndarray, float]
+Side = Union[Value, Callable[[float], Value]]
 Term = tuple[Side, Side]
 TermsOf = Callable[[Instance, EvalContext], list[Term]]
 
 
-def _compare(lhs: Side, rhs: Side, alpha: float) -> tuple[float, float]:
-    """Margin and scale of one term, its angle-dependent sides taken at alpha."""
-    lhs = lhs(alpha) if callable(lhs) else lhs
-    rhs = rhs(alpha) if callable(rhs) else rhs
+def _at(side: Side, alpha: float) -> Value:
+    return side(alpha) if callable(side) else side
+
+
+def _margin(lhs: Value, rhs: Value) -> float:
     if isinstance(lhs, np.ndarray):
         return loewner_margin(lhs, rhs)
-    return float(rhs - lhs), max(abs(lhs), abs(rhs))
+    return float(rhs - lhs)
+
+
+def _scale(lhs: Value, rhs: Value) -> float:
+    size = op_norm if isinstance(lhs, np.ndarray) else abs
+    return max(size(lhs), size(rhs))
 
 
 def _claims(terms_of: TermsOf, reverse: bool = False) -> Callable[..., TrialEval]:
     """Check.evaluate for the claim that every term of terms_of holds.
 
     reverse swaps the sides of every term, and so does a flip; the scale is
-    the largest term scale.
+    the largest term scale.  At the realized angle only the terms with an
+    angle-dependent side are measured again, and for their margin alone.
     """
 
     def evaluate(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
         terms = terms_of(inst, ctx)
         if flip != reverse:
             terms = [(rhs, lhs) for lhs, rhs in terms]
-        measured = [_compare(lhs, rhs, inst.alpha) for lhs, rhs in terms]
-        margin = min(m for m, _ in measured)
+        sides = [(_at(lhs, inst.alpha), _at(rhs, inst.alpha)) for lhs, rhs in terms]
+        margins = [_margin(lhs, rhs) for lhs, rhs in sides]
+        margin = min(margins)
         strict = margin
         if inst.alpha_realized != inst.alpha:
             strict = min(
-                _compare(lhs, rhs, inst.alpha_realized)[0] if callable(lhs) or callable(rhs) else m
-                for (lhs, rhs), (m, _) in zip(terms, measured)
+                _margin(_at(lhs, inst.alpha_realized), _at(rhs, inst.alpha_realized))
+                if callable(lhs) or callable(rhs) else m
+                for (lhs, rhs), m in zip(terms, margins)
             )
-        return TrialEval(margin, max(s for _, s in measured), strict)
+        return TrialEval(margin, max(_scale(lhs, rhs) for lhs, rhs in sides), strict)
 
     return evaluate
 

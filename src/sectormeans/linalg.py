@@ -9,9 +9,16 @@ difference) so callers can report how close a comparison came to failing.
 `real_part`, `imag_part`, `inverse`, `sqrt_pd`, `singular_values` and
 `op_norm` take arrays as given: callers pass arrays that already went
 through it.
+
+`lapack(name)` is the one way into SciPy.  It imports `scipy.linalg.lapack`
+on its first call and caches each routine, so `import sectormeans` does not
+load SciPy; only the Gauss-Jacobi rules (`dstevd`) and the numerical radius
+(`zggev`) call it.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -29,6 +36,7 @@ __all__ = [
     "loewner_leq",
     "singular_values",
     "op_norm",
+    "lapack",
 ]
 
 # Certification threshold for "this array is Hermitian", relative to the
@@ -57,6 +65,8 @@ def as_matrix(A) -> np.ndarray:
     M = np.asarray(A, dtype=np.complex128)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise PreconditionError(f"expected a square matrix, got shape {M.shape}")
+    if M.shape[0] == 0:
+        raise PreconditionError("expected a non-empty matrix, got shape (0, 0)")
     if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
         raise PreconditionError("matrix entries must be finite")
     return M
@@ -108,16 +118,16 @@ def sqrt_pd(H: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(w)) @ V.conj().T
 
 
-def loewner_margin(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, float]:
-    """Margin and scale of the Loewner comparison lhs <= rhs.
+def loewner_margin(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """Margin of the Loewner comparison lhs <= rhs: lambda_min of the
+    Hermitian part of rhs - lhs.
 
-    margin = lambda_min of the Hermitian part of rhs - lhs; scale =
-    max(||lhs||, ||rhs||), so the comparison is invariant under scaling both
-    operands.  Operands are trusted arrays; nothing is validated here.
+    Callers that judge it relative to the operands pair it with the scale
+    max(||lhs||, ||rhs||), under which the comparison is invariant to scaling
+    both.  Operands are trusted arrays; nothing is validated here.
     """
     diff = rhs - lhs
-    evals = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
-    return float(evals[0]), max(op_norm(lhs), op_norm(rhs))
+    return float(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))[0])
 
 
 def loewner_leq(H: np.ndarray, K: np.ndarray) -> tuple[bool, float]:
@@ -130,8 +140,8 @@ def loewner_leq(H: np.ndarray, K: np.ndarray) -> tuple[bool, float]:
     K = require_hermitian(K, "right operand")
     if H.shape != K.shape:
         raise PreconditionError(f"dimension mismatch: {H.shape} vs {K.shape}")
-    margin, scale = loewner_margin(H, K)
-    return margin >= -REL_SLACK * scale, margin
+    margin = loewner_margin(H, K)
+    return margin >= -REL_SLACK * max(op_norm(H), op_norm(K)), margin
 
 
 def singular_values(A: np.ndarray) -> np.ndarray:
@@ -142,3 +152,15 @@ def singular_values(A: np.ndarray) -> np.ndarray:
 def op_norm(A: np.ndarray) -> float:
     """Spectral norm (largest singular value)."""
     return float(np.linalg.svd(A, compute_uv=False)[0])
+
+
+@functools.cache
+def lapack(name: str):
+    """The routine `name` (such as "dstevd") of scipy.linalg.lapack.
+
+    SciPy is imported on the first call, not with this module, because most
+    commands never need it.
+    """
+    from scipy.linalg import lapack as routines
+
+    return getattr(routines, name)

@@ -16,12 +16,12 @@ computation, and a result outside it raises RadiusCertificateError.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-import scipy.linalg
 
-from .linalg import PreconditionError, as_matrix, op_norm, singular_values
+from .linalg import PreconditionError, as_matrix, lapack, op_norm, singular_values
 
 __all__ = ["NORM_KINDS", "RadiusCertificateError", "ui_norm", "norm_table", "numerical_radius"]
 
@@ -105,6 +105,27 @@ def _ascend(A: np.ndarray, theta: float) -> float:
     return theta
 
 
+@functools.cache
+def _ggev_lwork(size: int) -> int:
+    """zggev's workspace at this size, queried as scipy.linalg.eigvals does."""
+    zero = np.zeros((size, size), dtype=np.complex128)
+    return int(lapack("zggev")(zero, zero, lwork=-1)[-2][0].real)
+
+
+def _pencil_eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Finite eigenvalues alpha / beta of the pencil a - z b by LAPACK zggev.
+
+    The inputs are left untouched.  The infinite and indeterminate
+    eigenvalues (beta = 0) are dropped.
+    """
+    alpha, beta, _, _, _, info = lapack("zggev")(
+        a, b, compute_vl=0, compute_vr=0, lwork=_ggev_lwork(len(a)))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zggev failed on the radius pencil (info={info})")
+    finite = beta != 0
+    return alpha[finite] / beta[finite]
+
+
 def numerical_radius(A: np.ndarray) -> float:
     """max |<Ax, x>| over unit vectors: Newton ascent certified by level sets, on A/||A||."""
     A = as_matrix(A)
@@ -116,7 +137,7 @@ def numerical_radius(A: np.ndarray) -> float:
     # The unimodular eigenvalues z = e^{i theta} of the pencil
     # [[0, I], [-A, 2 level I]] - z [[I, 0], [0, A*]] are the angles at which
     # `level` is an eigenvalue of Re(e^{-i theta} A).  A singular A* gives
-    # infinite eigenvalues, which fail the unimodularity test.  Near a tangency
+    # infinite eigenvalues, which _pencil_eigvals drops.  Near a tangency
     # (level just below a flat peak) the crossing pair leaves the circle by
     # far more than rounding, so the unimodularity test is loose: a spurious
     # angle only adds a midpoint, and a midpoint's support value is never
@@ -137,7 +158,7 @@ def numerical_radius(A: np.ndarray) -> float:
         peak = _ascend(A, start)
         level = max(level, float(_support(A, np.array([peak]))[0]))
         np.fill_diagonal(pencil[n:, n:], 2.0 * level)
-        z = scipy.linalg.eigvals(pencil, weight, check_finite=False)
+        z = _pencil_eigvals(pencil, weight)
         angles = np.sort(np.angle(z[np.abs(np.abs(z) - 1.0) < 1e-4]))
         if angles.size == 0:
             break

@@ -17,9 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
-from .linalg import PreconditionError
+from .linalg import PreconditionError, lapack
 
 __all__ = [
     "DEFAULT_NODES",
@@ -130,7 +129,10 @@ def quadrature_rule(r: float, n_nodes: int = DEFAULT_NODES) -> QuadratureRule:
     if not (-1.0 < a < 0.0 and -1.0 < b < 0.0):
         raise PreconditionError(f"weight exponents out of range: a={a}, b={b}")
     diag, off, mu0 = _jacobi_recurrence(a, b, n_nodes)
-    x, V = eigh_tridiagonal(diag, off)
+    # LAPACK dstevd, the routine scipy.linalg.eigh_tridiagonal runs here
+    x, V, info = lapack("dstevd")(diag, off)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstevd failed on the Jacobi matrix (info={info})")
     nodes = 0.5 * (x + 1.0)
     # transform [-1,1] -> (0,1) and apply the sine prefactor; the 2^(a+b+1)
     # factors of the affine change of variables and of mu0 cancel.

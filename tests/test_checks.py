@@ -24,6 +24,7 @@ from sectormeans import (
     sample_instance,
     suite_ids,
 )
+from sectormeans import checks, linalg
 from sectormeans.checks import SUITE_NAMES, _branch_cos_exponent
 from sectormeans.quadrature import MAX_NODES
 from sectormeans.runner import _sample_r
@@ -294,3 +295,19 @@ def test_realized_alpha_strict_margin_reported():
     res = run_check(check_by_id("C12"), cfg)
     assert math.isfinite(res.worst_margin_strict)
     assert res.worst_margin_strict <= res.worst_margin + 1e-12
+
+
+def test_strict_margin_skips_the_scale(monkeypatch):
+    # C12 has one term, whose bound depends on the angle: the realized-angle
+    # pass needs its margin only, so each trial takes the two norms of one scale
+    calls = []
+    op_norm = linalg.op_norm
+
+    def counted(A):
+        calls.append(1)
+        return op_norm(A)
+
+    monkeypatch.setattr(linalg, "op_norm", counted)
+    monkeypatch.setattr(checks, "op_norm", counted)
+    run_check(check_by_id("C12"), RunConfig(seed=42, trials=100))
+    assert len(calls) == 200

@@ -303,3 +303,38 @@ def test_python_dash_m_runs_cli(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "PASS" in proc.stdout
     assert json.loads(out_path.read_text())["checks"][0]["id"] == "I01"
+
+
+# In a fresh interpreter: import the package and the CLI, run one command,
+# then report the exit code and whether SciPy was loaded.
+IMPORT_PROBE = """
+import sys
+import sectormeans, sectormeans.cli
+code = sectormeans.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(code, "scipy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, loads_scipy", [
+    ((), False),
+    (("compute", "sector", "A"), False),
+    (("compute", "norm", "A"), False),
+    (("compute", "power", "A", "--r", "0.5", "--engine", "eigen"), False),
+    (("compute", "mean", "A", "A", "--r", "1.5", "--engine", "eigen"), False),
+    (("compute", "power", "A", "--r", "0.5"), True),
+    (("compute", "wradius", "A"), True),
+], ids=["import", "sector", "norm", "power-eigen", "mean-eigen", "power-quad", "wradius"])
+def test_scipy_loads_only_on_first_use(tmp_path, argv, loads_scipy):
+    # SciPy serves only the Gauss-Jacobi rules and the radius pencil; a
+    # top-level import of it anywhere in the package would fail this
+    A = put(tmp_path, "a.json", [[2.0, 1.0 + 0.5j, 0.0], [0.0, 3.0, 0.5j], [0.2, 0.0, 1.5]])
+    argv = [A if arg == "A" else arg for arg in argv]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {loads_scipy}"

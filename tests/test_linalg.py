@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sectormeans as sm
 from sectormeans import (
     PreconditionError,
     SingularMatrixError,
@@ -34,6 +35,30 @@ def random_complex(n, seed):
 def test_as_matrix_rejects_nonsquare():
     with pytest.raises(PreconditionError):
         as_matrix(np.ones((2, 3)))
+
+
+EMPTY = np.zeros((0, 0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sm.numerical_radius(EMPTY),
+    lambda: sm.ui_norm(EMPTY),
+    lambda: sm.sector_angle(EMPTY),
+    lambda: sm.is_accretive(EMPTY),
+    lambda: sm.in_sector(EMPTY, 0.5),
+    lambda: sm.principal_power(EMPTY, 0.5, engine="eigen"),
+    lambda: sm.principal_power(EMPTY, 0.5, engine="quad"),
+    lambda: sm.geometric_mean(EMPTY, EMPTY, 0.5),
+    lambda: sm.geometric_mean_integral(EMPTY, EMPTY, 0.5),
+    lambda: sm.harmonic_mean(EMPTY, EMPTY, 0.5),
+    lambda: sm.loewner_leq(EMPTY, EMPTY),
+    lambda: sm.dumps_matrix(EMPTY),
+], ids=["numerical_radius", "ui_norm", "sector_angle", "is_accretive", "in_sector",
+        "power_eigen", "power_quad", "geometric_mean", "geometric_mean_integral",
+        "harmonic_mean", "loewner_leq", "dumps_matrix"])
+def test_empty_matrix_is_a_precondition_error(call):
+    with pytest.raises(PreconditionError, match="non-empty"):
+        call()
 
 
 def test_as_matrix_rejects_nonfinite():

@@ -149,12 +149,13 @@ def test_radius_mostly_one_pencil_solve(monkeypatch):
         B = np.linalg.inv(gen_sectorial(n, alpha, 300 + seed).matrix)
         inputs += [gen_sectorial(n, alpha, seed).matrix, gen_pd(n, seed), B @ B]
     solves = []
-    solve = scipy.linalg.eigvals
-    monkeypatch.setattr(norms.scipy.linalg, "eigvals",
-                        lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
+    solve = norms._pencil_eigvals
+    monkeypatch.setattr(norms, "_pencil_eigvals",
+                        lambda *args: solves.append(1) or solve(*args))
     for A in inputs:
         numerical_radius(A)
-    assert len(solves) / len(inputs) <= 1.5
+    # every call certifies its level with at least one solve
+    assert 1.0 <= len(solves) / len(inputs) <= 1.5
 
 
 def _ellipse(a, b, phi):
