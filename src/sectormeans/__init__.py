@@ -23,7 +23,7 @@ from .sectors import (
     validate_sector_angle,
 )
 from .quadrature import (
-    DEFAULT_NODES,
+    NodeBudgetError,
     QuadratureRule,
     jacobi_exponents,
     mean_order_branch,
@@ -68,13 +68,13 @@ from .matrixio import MatrixFormatError, dumps_matrix, loads_matrix, parse_matri
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_NODES",
     "MAX_DIM",
     "MAP_KINDS",
     "Compression",
     "EigenbasisConditionError",
     "EvalContext",
     "MatrixFormatError",
+    "NodeBudgetError",
     "NonAccretiveWarning",
     "Pinching",
     "PreconditionError",

@@ -46,7 +46,7 @@ from .means import (
     reflection_identity,
 )
 from .norms import numerical_radius, ui_norm
-from .quadrature import DEFAULT_NODES
+from .quadrature import MAX_NODES
 
 __all__ = [
     "Check",
@@ -68,9 +68,14 @@ RNEG = (-1.0, 0.0)
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Evaluation knobs shared by all checks; nodes sizes the quadrature."""
+    """Evaluation knobs shared by all checks.
 
-    nodes: int = DEFAULT_NODES
+    nodes is the node budget of every quadrature route: each sizes its rule
+    from the spectrum it integrates over and refuses with NodeBudgetError
+    when that needs more.
+    """
+
+    nodes: int = MAX_NODES
 
 
 @dataclass

@@ -8,7 +8,8 @@ Two command families:
 Exit codes: 0 success, 1 usage error, 2 precondition failure (bad input
 matrix, hypothesis violation, or a result that fails its certificate, such
 as a numerical radius outside ||A||/2 <= w <= ||A||), 3 verification
-failure (a check reported violations).
+failure (a check reported violations, or a trial needed more quadrature
+nodes than the budget).
 """
 
 from __future__ import annotations
@@ -31,12 +32,15 @@ from .means import (
     principal_power,
 )
 from .norms import norm_table, numerical_radius
-from .quadrature import DEFAULT_NODES
 from .runner import RunConfig, SuiteReport, replay_trial, run_suite
 from .sectors import is_accretive, sector_angle
 
 __all__ = ["main", "entrypoint", "parse_dims", "print_report", "write_report"]
 
+NODES_HELP = (
+    "node budget: the most Gauss-Jacobi nodes a quadrature route may use "
+    "(default %(default)s); a route that needs more exits 2"
+)
 CSV_HEADER = ["check_id", "paper_anchor", "trials", "violations", "worst_margin", "worst_seed"]
 
 
@@ -60,6 +64,7 @@ def parse_dims(text: str) -> tuple[int, int]:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="sectormeans", description=__doc__.splitlines()[0])
+    run = RunConfig()
     sub = parser.add_subparsers(dest="command", required=True)
 
     comp = sub.add_parser("compute", help="evaluate one operation on matrix files")
@@ -69,7 +74,7 @@ def build_parser() -> _Parser:
     p_power.add_argument("matrix", help="path to the input matrix json")
     p_power.add_argument("--r", type=float, required=True, help="exponent in (-1,2)")
     p_power.add_argument("--engine", choices=("quad", "eigen"), default="quad")
-    p_power.add_argument("--nodes", type=int, default=DEFAULT_NODES)
+    p_power.add_argument("--nodes", type=int, default=run.nodes, help=NODES_HELP)
 
     p_mean = comp_sub.add_parser("mean", help="weighted geometric mean A #_r B")
     p_mean.add_argument("matrix", help="path to the first matrix json")
@@ -81,7 +86,7 @@ def build_parser() -> _Parser:
         default="integral",
         help="integral: direct branch integral; quad/eigen: congruence route",
     )
-    p_mean.add_argument("--nodes", type=int, default=DEFAULT_NODES)
+    p_mean.add_argument("--nodes", type=int, default=run.nodes, help=NODES_HELP)
 
     p_sector = comp_sub.add_parser("sector", help="smallest sector angle containing W(A)")
     p_sector.add_argument("matrix")
@@ -92,13 +97,12 @@ def build_parser() -> _Parser:
     p_norm = comp_sub.add_parser("norm", help="unitarily invariant norms of A")
     p_norm.add_argument("matrix")
 
-    run = RunConfig()
     ver = sub.add_parser("verify", help="run a randomized verification suite")
     ver.add_argument("suite", choices=SUITE_NAMES)
     ver.add_argument("--seed", type=int, default=run.seed)
     ver.add_argument("--trials", type=int, default=run.trials)
     ver.add_argument("--dims", type=parse_dims, default=(run.dim_min, run.dim_max), metavar="A..B")
-    ver.add_argument("--nodes", type=int, default=DEFAULT_NODES)
+    ver.add_argument("--nodes", type=int, default=run.nodes, help=NODES_HELP)
     ver.add_argument("--tol", type=float, default=run.tol)
     ver.add_argument("--format", choices=("json", "csv"), default="json")
     ver.add_argument("--r", type=float, default=None, help="fix the mean order for all checks")
@@ -163,15 +167,19 @@ def print_report(report: SuiteReport) -> None:
     for c in report.checks:
         tag = " (informational)" if c.informational else ""
         worst = "n/a" if c.worst_margin is None else f"{c.worst_margin:+.3e}"
+        errors = f"  errors={len(c.errors)}" if c.errors else ""
         line = (
             f"{c.id:>4}  {c.name:<24} trials={c.trials}  violations={c.violations}  "
-            f"worst_margin={worst}  sampler_failures={c.sampler_failures}{tag}"
+            f"worst_margin={worst}  sampler_failures={c.sampler_failures}{errors}{tag}"
         )
         print(line)
+        for err in c.errors:
+            print(f"      trial {err['trial']} seed {err['seed']}: {err['reason']}")
     verdict = "PASS" if report.passed else "FAIL"
+    errors = f"{report.errors} errors, " if report.errors else ""
     print(
         f"suite {report.suite}: {len(report.checks)} checks, {report.violations} violations, "
-        f"{report.sampler_failures} sampler failures, {report.elapsed_s:.1f}s -> {verdict}"
+        f"{report.sampler_failures} sampler failures, {errors}{report.elapsed_s:.1f}s -> {verdict}"
     )
 
 

@@ -16,8 +16,16 @@ The scale c = sqrt(min|lambda| max|lambda|) over spec(P^{-1} Q) centres the
 spectrum of the pencil on 1, by homogeneity P #_r Q = c^r (P #_r (Q/c)), so
 plain scaling moves no digit and the poles of the integrand sit as far from
 [0, 1] as the spread of the spectrum allows (Hale, Higham and Trefethen,
-SIAM J. Numer. Anal. 46 (2008)).  Each node costs one linear solve, all
-nodes go through one batched `solve`, and nothing is inverted.  The power
+SIAM J. Numer. Anal. 46 (2008)).  The pencil is singular at
+s = mu/(mu-1) for each mu in spec(P^{-1} Q)/c, so the centred spectrum also
+gives the node count of the first rule (`quadrature.node_count`).  The
+eigenvalues do not see how far P^{-1} Q is from normal, so the kernel
+accepts a rule's result only when the decay of the integrand's probed
+Jacobi coefficients puts its error below TRUNCATION_TOL, and doubles the
+count otherwise.  The `nodes` argument of every quadrature route is the
+most it may use; past that budget the route raises NodeBudgetError instead
+of returning digits it cannot certify.  Each node costs one linear solve, the nodes go through a
+batched `solve` in blocks of NODE_BLOCK, and nothing is inverted.  The power
 A^r is the kernel on (I, A); the mean's direct integral form is the kernel
 on (A, B).
 
@@ -41,10 +49,14 @@ from .linalg import (
     is_hermitian,
 )
 from .quadrature import (
-    DEFAULT_NODES,
+    MAX_NODES,
+    TRUNCATION_TOL,
+    NodeBudgetError,
     QuadratureRule,
     mean_order_branch,
+    node_count,
     quadrature_rule,
+    truncation_estimate,
 )
 from .sectors import is_accretive
 
@@ -69,6 +81,8 @@ __all__ = [
 EIG_COND_LIMIT = 1e8
 
 ENGINES = ("quad", "eigen")
+# nodes per batched solve, so the kernel's memory does not grow with the count
+NODE_BLOCK = 32
 
 
 class NonAccretiveWarning(UserWarning):
@@ -162,21 +176,41 @@ def principal_power_eigen(A: np.ndarray, r: float) -> np.ndarray:
 
 
 def _resolvent_mean(P: np.ndarray, Q: np.ndarray, r: float, nodes: int) -> np.ndarray:
-    """The centred quadrature kernel for P #_r Q on trusted arrays, r off {0, 1}."""
-    lam = np.abs(np.linalg.eigvals(np.linalg.solve(P, Q)))
-    c = math.sqrt(lam.min() * lam.max())
+    """The centred quadrature kernel for P #_r Q on trusted arrays, r off {0, 1}.
+
+    `nodes` is the budget.  The rule starts at the count the centred
+    spectrum needs and doubles until its truncation estimate is below
+    TRUNCATION_TOL; NodeBudgetError is raised when that takes more nodes.
+    """
+    lam = np.linalg.eigvals(np.linalg.solve(P, Q))
+    size = np.abs(lam)
+    c = math.sqrt(size.min() * size.max())
+    n_nodes = node_count(lam / c, nodes)
     Qc = Q / c
     k = math.ceil(r)
     X, Y = (P if k == 0 else Qc), (Qc if k == 2 else P)
-    rule = _cached_rule(r, nodes)
-    s = rule.nodes[:, None, None]
-    pencil = (1.0 - s) * Qc + s * P
-    integrand = np.linalg.solve(pencil, np.broadcast_to(Y, pencil.shape))
-    return c**r * (X @ np.tensordot(rule.weights, integrand, axes=(0, 0)))
+    while True:
+        rule = _cached_rule(r, n_nodes)
+        # row 0 sums the integral, the other rows the probed coefficients
+        moments = np.zeros((len(rule.probes), P.size), dtype=P.dtype)
+        for lo in range(0, n_nodes, NODE_BLOCK):
+            s = rule.nodes[lo:lo + NODE_BLOCK, None, None]
+            pencil = (1.0 - s) * Qc + s * P
+            integrand = np.linalg.solve(pencil, np.broadcast_to(Y, pencil.shape))
+            moments += rule.probes[:, lo:lo + NODE_BLOCK] @ integrand.reshape(len(s), -1)
+        sizes = np.linalg.norm(moments, axis=1)
+        if truncation_estimate(n_nodes, sizes[1:] / sizes[0]) <= TRUNCATION_TOL:
+            return c**r * (X @ moments[0].reshape(P.shape))
+        if 2 * n_nodes > nodes:
+            raise NodeBudgetError(
+                f"the integrand is not resolved by {n_nodes} quadrature nodes, and "
+                f"{2 * n_nodes} are more than the budget of {nodes} nodes"
+            )
+        n_nodes *= 2
 
 
-def principal_power_quad(A: np.ndarray, r: float, nodes: int = DEFAULT_NODES) -> np.ndarray:
-    """A^r as the quadrature kernel on (I, A), with a `nodes`-point rule.
+def principal_power_quad(A: np.ndarray, r: float, nodes: int = MAX_NODES) -> np.ndarray:
+    """A^r as the quadrature kernel on (I, A), with at most `nodes` nodes.
 
     r = 0 and r = 1 pass through exactly.
     """
@@ -194,7 +228,7 @@ def _cached_rule(r: float, n_nodes: int) -> QuadratureRule:
 
 
 def principal_power(
-    A: np.ndarray, r: float, engine: str = "eigen", nodes: int = DEFAULT_NODES
+    A: np.ndarray, r: float, engine: str = "eigen", nodes: int = MAX_NODES
 ) -> np.ndarray:
     """Engine dispatcher for principal powers restricted to r in (-1, 2)."""
     if engine not in ENGINES:
@@ -221,7 +255,7 @@ def geometric_mean(
     B: np.ndarray,
     r: float,
     engine: str = "eigen",
-    nodes: int = DEFAULT_NODES,
+    nodes: int = MAX_NODES,
 ) -> np.ndarray:
     """Weighted geometric mean A #_r B = A^{1/2} (A^{-1/2} B A^{-1/2})^r A^{1/2}.
 
@@ -252,7 +286,7 @@ def geometric_mean(
 
 
 def geometric_mean_integral(
-    A: np.ndarray, B: np.ndarray, r: float, nodes: int = DEFAULT_NODES
+    A: np.ndarray, B: np.ndarray, r: float, nodes: int = MAX_NODES
 ) -> np.ndarray:
     """A #_r B through its direct integral form, the quadrature kernel on (A, B).
 

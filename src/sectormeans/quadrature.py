@@ -9,34 +9,56 @@ So a, b lie in (-1, 0) with a + b = -1, and the total mass is exactly 1 by
 the reflection identity B(b+1, a+1) = pi / sin((b+1) pi).  Nodes and weights
 come from the symmetric tridiagonal Jacobi recurrence (Golub-Welsch); the
 weights are rescaled by the sine prefactor so they sum to 1.
+
+`node_count` sizes a rule for an integrand whose poles are known.  A pole
+at x0 in the plane of [-1, 1] bounds the n-point Gauss error by about
+rho^{-2n}, where rho = |x0 + sqrt(x0^2 - 1)| > 1 is the parameter of the
+Bernstein ellipse through x0 (Trefethen, SIAM Review 50 (2008)).  That
+count sees only the poles, not their order: the resolvent of a matrix far
+from normal has poles of high order, or none at all for a Jordan block at
+mu = 1, whose integrand is a polynomial of high degree.  So each rule also
+carries `probes`, which turn the integrand's values at the nodes into a few
+of its Jacobi coefficients, and `truncation_estimate` extrapolates their
+decay to the error of the rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .linalg import PreconditionError, lapack
 
 __all__ = [
-    "DEFAULT_NODES",
     "MIN_NODES",
     "MAX_NODES",
+    "NodeBudgetError",
     "QuadratureRule",
     "mean_order_branch",
     "jacobi_exponents",
     "sine_prefactor",
+    "node_count",
     "quadrature_rule",
+    "require_node_count",
+    "truncation_estimate",
 ]
 
-DEFAULT_NODES = 80
 MIN_NODES = 4
 # The Golub-Welsch solve builds an m x m eigenvector matrix, so the node
 # count is capped where it enters rather than left to exhaust memory.
 MAX_NODES = 1024
 MASS_TOL = 1e-12
+# target error of node_count's estimate, relative to the integral
+NODE_EPS = 1e-16
+# largest truncation_estimate a rule's result is accepted with
+TRUNCATION_TOL = 1e-13
+
+
+class NodeBudgetError(PreconditionError):
+    """The rule needed for the requested accuracy has more nodes than allowed."""
 
 
 def mean_order_branch(r: float) -> str:
@@ -69,13 +91,54 @@ def sine_prefactor(r: float) -> float:
     return math.sin((b + 1.0) * math.pi) / math.pi
 
 
+def require_node_count(n_nodes: int) -> int:
+    """n_nodes as an int, refused unless it lies in MIN_NODES..MAX_NODES."""
+    n_nodes = int(n_nodes)
+    if not MIN_NODES <= n_nodes <= MAX_NODES:
+        raise PreconditionError(f"nodes must lie in {MIN_NODES}..{MAX_NODES}, got {n_nodes}")
+    return n_nodes
+
+
+def node_count(mu: np.ndarray, budget: int = MAX_NODES) -> int:
+    """Nodes that resolve int f dmu_r to NODE_EPS when f has poles at s = mu/(mu-1).
+
+    A pole s = mu/(mu-1) sits at x0 = (mu+1)/(mu-1) on [-1, 1], and its
+    ellipse parameter |x0 + sqrt(x0^2 - 1)| simplifies to
+    rho = |sqrt(mu) + 1| / |sqrt(mu) - 1| with the principal root.  The
+    nearest pole sets n = ceil(log(1/NODE_EPS) / (2 log rho)), floored at
+    MIN_NODES.  Past `budget` this raises NodeBudgetError; it never clamps.
+    """
+    budget = require_node_count(budget)
+    root = np.sqrt(np.asarray(mu, dtype=np.complex128))
+    # 1/rho of the nearest pole: 0 without a pole (mu = 1), 1 on the cut
+    inv_rho = float(np.max(np.abs(root - 1.0) / np.abs(root + 1.0)))
+    if inv_rho == 0.0:
+        return MIN_NODES
+    need = math.log(NODE_EPS) / (2.0 * math.log(inv_rho)) if inv_rho < 1.0 else math.inf
+    if not need <= budget:
+        shown = str(math.ceil(need)) if math.isfinite(need) else "unboundedly many"
+        raise NodeBudgetError(
+            f"the spectrum needs {shown} quadrature nodes, more than the budget of {budget} nodes"
+        )
+    return max(MIN_NODES, math.ceil(need))
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes in (0, 1) and positive weights summing to 1 for one mean order."""
+    """Nodes in (0, 1) and positive weights summing to 1 for one mean order.
+
+    `probes`, set by `quadrature_rule`, has one row per degree k in
+    (0, h-1, h, n-2, n-1), h = n // 2, of w_j p_k(x_j) / p_0 for the
+    measure's orthonormal polynomials p_k: summed against an integrand's
+    values at the nodes, a row gives its discrete Jacobi coefficient of
+    degree k, in units where degree 0 is the integral.  Row 0 is thus the
+    weights.  A rule built from given arrays has none unless they are given.
+    """
 
     r: float
     nodes: np.ndarray
     weights: np.ndarray
+    probes: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         mean_order_branch(self.r)
@@ -94,6 +157,24 @@ class QuadratureRule:
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+
+def truncation_estimate(n_nodes: int, probe_norms: np.ndarray) -> float:
+    """The error of an n-node rule, from the sizes of its probed coefficients.
+
+    `probe_norms` are the sizes of the coefficients of degrees h-1, h, n-2
+    and n-1 (h = n // 2), relative to the integral.
+
+    The rule is exact through degree 2n - 1, so its error is about the
+    coefficient of degree 2n.  The larger of the two top coefficients is
+    taken to decay from the larger of the two middle ones at the rate it
+    shows, and that rate is carried on to degree 2n.  A top that has not
+    decayed is its own estimate.
+    """
+    mid, top = max(probe_norms[0], probe_norms[1]), max(probe_norms[2], probe_norms[3])
+    if not top < mid:
+        return float(top)
+    return float(top * (top / mid) ** ((n_nodes + 1) / (n_nodes - 1 - n_nodes // 2)))
 
 
 def _jacobi_recurrence(a: float, b: float, m: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -117,14 +198,12 @@ def _jacobi_recurrence(a: float, b: float, m: int) -> tuple[np.ndarray, np.ndarr
     return diag, np.sqrt(off_sq), mu0
 
 
-def quadrature_rule(r: float, n_nodes: int = DEFAULT_NODES) -> QuadratureRule:
+def quadrature_rule(r: float, n_nodes: int) -> QuadratureRule:
     """Gauss-Jacobi rule with n_nodes points for the branch measure of r."""
     r = float(r)
     if mean_order_branch(r) == "endpoint":
         raise PreconditionError(f"no quadrature rule at the endpoint r={r}")
-    n_nodes = int(n_nodes)
-    if not MIN_NODES <= n_nodes <= MAX_NODES:
-        raise PreconditionError(f"need {MIN_NODES}..{MAX_NODES} nodes, got {n_nodes}")
+    n_nodes = require_node_count(n_nodes)
     a, b = jacobi_exponents(r)
     if not (-1.0 < a < 0.0 and -1.0 < b < 0.0):
         raise PreconditionError(f"weight exponents out of range: a={a}, b={b}")
@@ -137,6 +216,9 @@ def quadrature_rule(r: float, n_nodes: int = DEFAULT_NODES) -> QuadratureRule:
     # transform [-1,1] -> (0,1) and apply the sine prefactor; the 2^(a+b+1)
     # factors of the affine change of variables and of mu0 cancel.
     weights = sine_prefactor(r) * mu0 * 2.0 ** (-(a + b + 1.0)) * V[0] ** 2
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return QuadratureRule(r=r, nodes=nodes, weights=weights)
+    # row k of V over row 0 is p_k / p_0 at the nodes (Golub-Welsch)
+    half = n_nodes // 2
+    probes = np.vstack([weights, weights * V[[half - 1, half, n_nodes - 2, n_nodes - 1]] / V[0]])
+    for array in (nodes, weights, probes):
+        array.flags.writeable = False
+    return QuadratureRule(r=r, nodes=nodes, weights=weights, probes=probes)

@@ -8,9 +8,13 @@ validation, or whose evaluation hits a numerically indefensible state
 cut, inversion below the rcond floor), are rejected and redrawn up to
 MAX_RETRIES times; chronic failure is reported per check, never hidden.
 
-Any margin flagged as a violation at the working quadrature size is
-re-evaluated at twice as many nodes before it is counted, so a discretized
-integral cannot manufacture a counterexample on its own.
+Every quadrature route sizes its own rule from the spectrum it integrates
+over and checks its truncation error, within the node budget
+`RunConfig.nodes`, so each trial is evaluated once and its margin counts as
+it stands.  A route that needs more nodes than the budget raises
+NodeBudgetError.  That is not a bad draw: it is never retried, and the
+trial is recorded under the check's `errors` with its seed and reason.  A
+suite with errors does not pass.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .linalg import PreconditionError, SingularMatrixError
 from .maps import MAP_KINDS, random_map
 from .means import EigenbasisConditionError, PrincipalBranchError
 from .norms import NORM_KINDS
-from .quadrature import DEFAULT_NODES, MAX_NODES, MIN_NODES
+from .quadrature import MAX_NODES, NodeBudgetError, require_node_count
 from .sectors import (
     MAX_DIM,
     _accretive,
@@ -71,7 +75,7 @@ class RunConfig:
     trials: int = 500
     dim_min: int = 2
     dim_max: int = 8
-    nodes: int = DEFAULT_NODES
+    nodes: int = MAX_NODES  # the most nodes a quadrature route may use
     tol: float = 1e-8
     r_override: Optional[float] = None
     alphas: tuple[float, ...] = (0.1, 0.4, 0.8, 1.2)
@@ -84,11 +88,7 @@ class RunConfig:
             raise PreconditionError(
                 f"need 1 <= dim_min <= dim_max <= {MAX_DIM}, got {self.dim_min}..{self.dim_max}"
             )
-        # the refinement pass runs at 2 * nodes, so that count must fit the cap too
-        if not MIN_NODES <= self.nodes <= MAX_NODES // 2:
-            raise PreconditionError(
-                f"nodes must lie in {MIN_NODES}..{MAX_NODES // 2}, got {self.nodes}"
-            )
+        require_node_count(self.nodes)
         if not self.tol > 0.0:
             raise PreconditionError(f"tol must be positive, got {self.tol}")
         if not self.alphas or not all(0.0 <= a < math.pi / 2 for a in self.alphas):
@@ -109,6 +109,8 @@ class CheckResult:
     sampler_failures: int
     informational: bool
     runtime_s: float
+    # trials that raised NodeBudgetError: {"trial", "seed", "reason"} each
+    errors: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -124,6 +126,7 @@ class CheckResult:
             "sampler_failures": self.sampler_failures,
             "informational": self.informational,
             "runtime_s": self.runtime_s,
+            "errors": self.errors,
         }
 
 
@@ -144,8 +147,12 @@ class SuiteReport:
         return sum(c.sampler_failures for c in self.checks if not c.informational)
 
     @property
+    def errors(self) -> int:
+        return sum(len(c.errors) for c in self.checks if not c.informational)
+
+    @property
     def passed(self) -> bool:
-        return self.violations == 0
+        return self.violations == 0 and self.errors == 0
 
     def to_dict(self) -> dict:
         return {
@@ -157,6 +164,7 @@ class SuiteReport:
                 "checks": len(self.checks),
                 "violations": self.violations,
                 "sampler_failures": self.sampler_failures,
+                "errors": self.errors,
                 "passed": self.passed,
                 "elapsed_s": self.elapsed_s,
             },
@@ -232,21 +240,6 @@ def _violated(ev: TrialEval, tol: float) -> bool:
     return ev.margin < -tol * ev.scale
 
 
-def _confirm(
-    check: Check, inst: Instance, ev: TrialEval, config: RunConfig, flip: bool
-) -> tuple[TrialEval, bool]:
-    """Apply the refinement rule to an evaluation at config.nodes.
-
-    Returns (evaluation, violated).  A candidate violation is re-evaluated
-    at twice as many nodes, and only the refined evaluation counts.  Callers
-    run this outside their retry handling, so an error raised by the
-    refinement is never taken for a bad draw.
-    """
-    if _violated(ev, config.tol):
-        ev = check.evaluate(inst, EvalContext(nodes=2 * config.nodes), flip)
-    return ev, _violated(ev, config.tol)
-
-
 def _run_one_trial(
     check: Check,
     config: RunConfig,
@@ -264,7 +257,9 @@ def _run_one_trial(
         except (InstanceRejected, *_RETRYABLE) as exc:
             last_reason = f"{type(exc).__name__}: {exc}"
             continue
-        ev, violated = _confirm(check, inst, ev, config, flip)
+        except NodeBudgetError as exc:
+            # the draw is sound but the budget too small: record, never redraw
+            return {"trial": trial, "seed": seed, "failed": True, "error": f"{type(exc).__name__}: {exc}"}
         return {
             "trial": trial,
             "seed": seed,
@@ -272,7 +267,7 @@ def _run_one_trial(
             "margin": ev.margin,
             "scale": ev.scale,
             "margin_strict": ev.margin_strict,
-            "violated": violated,
+            "violated": _violated(ev, config.tol),
             "failed": False,
         }
     return {"trial": trial, "failed": True, "reason": last_reason}
@@ -309,7 +304,12 @@ def run_check(
     runtime = time.perf_counter() - start
 
     completed = [rec for rec in records if not rec["failed"]]
-    failures = len(records) - len(completed)
+    errors = [
+        {"trial": rec["trial"], "seed": rec["seed"], "reason": rec["error"]}
+        for rec in records
+        if "error" in rec
+    ]
+    failures = len(records) - len(completed) - len(errors)
     violations = sum(1 for rec in completed if rec["violated"])
 
     def margin_key(rec: dict) -> float:
@@ -332,6 +332,7 @@ def run_check(
         sampler_failures=failures,
         informational=check.informational,
         runtime_s=runtime,
+        errors=errors,
     )
 
 
@@ -379,7 +380,6 @@ def replay_trial(check_id: str, seed: int, config: RunConfig) -> dict:
     trial, attempt = position
     inst = sample_instance(check, config, seed, trial)
     ev = check.evaluate(inst, EvalContext(nodes=config.nodes), False)
-    ev, violated = _confirm(check, inst, ev, config, False)
     return {
         "check": check.id,
         "seed": seed,
@@ -392,5 +392,5 @@ def replay_trial(check_id: str, seed: int, config: RunConfig) -> dict:
         "margin": ev.margin,
         "scale": ev.scale,
         "margin_strict": ev.margin_strict,
-        "violated": violated,
+        "violated": _violated(ev, config.tol),
     }

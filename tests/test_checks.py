@@ -26,14 +26,14 @@ from sectormeans import (
 )
 from sectormeans import checks, linalg
 from sectormeans.checks import SUITE_NAMES, _branch_cos_exponent
-from sectormeans.quadrature import MAX_NODES
+from sectormeans.quadrature import MAX_NODES, MIN_NODES
 from sectormeans.runner import _sample_r
 
 INTERVALS = {(0.0, 1.0), (1.0, 2.0), (-1.0, 0.0)}
 
 
 def small_config(**kw):
-    base = dict(trials=16, dim_min=2, dim_max=5, nodes=48, tol=1e-8)
+    base = dict(trials=16, dim_min=2, dim_max=5, tol=1e-8)
     base.update(kw)
     return RunConfig(**base)
 
@@ -113,10 +113,11 @@ def test_runconfig_validation():
         RunConfig(alphas=(1.6,))
     with pytest.raises(PreconditionError):
         RunConfig(nodes=2)
-    # the refinement pass doubles the count, which must stay within the cap
+    # nodes is a budget, capped where every quadrature rule is
     with pytest.raises(PreconditionError, match="nodes"):
-        RunConfig(nodes=MAX_NODES)
-    assert RunConfig(nodes=MAX_NODES // 2).nodes == MAX_NODES // 2
+        RunConfig(nodes=MAX_NODES + 1)
+    assert RunConfig(nodes=MAX_NODES).nodes == MAX_NODES
+    assert RunConfig().nodes == MAX_NODES
 
 
 def test_sample_r_stays_inside_open_interval():
@@ -255,6 +256,37 @@ def test_replay_reproduces_worst_trial():
     assert out["violated"] is False
     with pytest.raises(PreconditionError, match="seed"):
         replay_trial("C12", 123456789, cfg)
+
+
+def test_flipped_run_evaluates_each_trial_once():
+    """Every flipped trial is a candidate violation, and its one evaluation
+    counts: each quadrature route certifies its own node count."""
+    calls = []
+    check = check_by_id("C09")
+
+    def counted(inst, ctx, flip):
+        calls.append(ctx.nodes)
+        return check.evaluate(inst, ctx, flip)
+
+    cfg = small_config(trials=12)
+    res = run_check(dataclasses.replace(check, evaluate=counted), cfg, mutate="flip")
+    assert res.violations == 12
+    assert calls == [cfg.nodes] * 12
+
+
+def test_budget_refusals_are_recorded_per_trial():
+    """A trial whose quadrature needs more nodes than the budget is an error
+    with its seed and reason: not a bad draw to redraw, and not an abort."""
+    cfg = small_config(trials=4, nodes=MIN_NODES)
+    res = run_check(check_by_id("C09"), cfg)
+    assert res.sampler_failures == 0 and res.worst_margin is None
+    assert [err["trial"] for err in res.errors] == [0, 1, 2, 3]
+    assert all(err["reason"].startswith("NodeBudgetError") for err in res.errors)
+    replayed = replay_trial("C09", res.errors[0]["seed"], small_config(trials=4))
+    assert replayed["trial"] == 0 and not replayed["violated"]
+    rep = run_suite("r12", cfg, check_id="C09")
+    assert rep.errors == 4 and not rep.passed
+    assert rep.to_dict()["checks"][0]["errors"] == res.errors
 
 
 def test_eval_context_immutable():

@@ -142,6 +142,29 @@ def test_node_count_above_cap_exits_two(tmp_path, capsys):
     assert not (tmp_path / "rep.json").exists()
 
 
+def test_compute_power_refuses_past_the_node_budget(tmp_path, capsys):
+    """kappa = 1e8 needs 1116 nodes, past MAX_NODES: a typed refusal, not digits."""
+    U = np.linalg.qr(np.random.default_rng(3).normal(size=(6, 6)))[0]
+    lam = np.logspace(0.0, 8.0, 6) * np.exp(1j * np.linspace(-1.2, 1.2, 6))
+    path = put(tmp_path, "a.json", (U * lam) @ U.T)
+    code, out, err = run_cli(capsys, "compute", "power", path, "--r", "0.4")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "nodes" in err
+
+
+def test_compute_power_of_a_jordan_block(tmp_path, capsys):
+    """I + 0.9 S has no pole in its spectrum; the CLI's quadrature power
+    still matches the finite binomial series sum_k binom(r, k) (0.9 S)^k."""
+    N = 0.9 * np.eye(12, k=1)
+    path = put(tmp_path, "a.json", np.eye(12) + N)
+    code, out, _ = run_cli(capsys, "compute", "power", path, "--r", "0.4")
+    assert code == 0
+    exact, term, coef = np.zeros((12, 12)), np.eye(12), 1.0
+    for k in range(12):
+        exact, term, coef = exact + coef * term, term @ N, coef * (0.4 - k) / (k + 1)
+    assert np.abs(loads_matrix(out) - exact).max() <= 1e-14
+
+
 def test_compute_missing_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "compute", "sector", str(tmp_path / "void.json"))
     assert code == 2
@@ -151,11 +174,23 @@ def test_compute_missing_file(tmp_path, capsys):
 # ------------------------------------------------------------------ verify
 
 
+def test_verify_records_budget_refusals(tmp_path, capsys):
+    """A budget too small for the trials fails the run; the report names
+    each refused trial's seed and reason."""
+    out_path = tmp_path / "rep.json"
+    code, out, _ = run_cli(capsys, "verify", "r12", "--check", "C09", "--trials", "2",
+                           "--nodes", "4", "--out", str(out_path))
+    assert code == 3
+    assert "errors=2" in out and "2 errors" in out and "FAIL" in out
+    errors = json.loads(out_path.read_text())["checks"][0]["errors"]
+    assert [e["trial"] for e in errors] == [0, 1]
+    assert all(e["seed"] >= 0 and "NodeBudgetError" in e["reason"] for e in errors)
+
+
 def test_verify_small_json(tmp_path, capsys):
     out_path = tmp_path / "rep.json"
     code, out, _ = run_cli(capsys, "verify", "identities", "--trials", "3",
-                           "--seed", "7", "--dims", "2..4", "--nodes", "48",
-                           "--out", str(out_path))
+                           "--seed", "7", "--dims", "2..4", "--out", str(out_path))
     assert code == 0
     assert "PASS" in out
     rep = json.loads(out_path.read_text())
@@ -178,8 +213,7 @@ def test_verify_leaves_warning_filters_alone(tmp_path, capsys):
 def test_verify_csv_header_exact(tmp_path, capsys):
     out_path = tmp_path / "rep.csv"
     code, _, _ = run_cli(capsys, "verify", "r01", "--trials", "2", "--dims", "2..3",
-                         "--nodes", "48", "--check", "C02", "--format", "csv",
-                         "--out", str(out_path))
+                         "--check", "C02", "--format", "csv", "--out", str(out_path))
     assert code == 0
     text = out_path.read_text()
     assert text.splitlines()[0] == ",".join(CSV_HEADER)
@@ -189,8 +223,7 @@ def test_verify_csv_header_exact(tmp_path, capsys):
 
 
 def test_verify_deterministic_reports(tmp_path, capsys):
-    args = ("verify", "r12", "--check", "C09", "--trials", "4", "--dims", "2..4",
-            "--nodes", "48", "--seed", "42")
+    args = ("verify", "r12", "--check", "C09", "--trials", "4", "--dims", "2..4", "--seed", "42")
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert run_cli(capsys, *args, "--out", str(p1))[0] == 0
     assert run_cli(capsys, *args, "--out", str(p2))[0] == 0
@@ -218,7 +251,7 @@ def test_verify_informational_check_follows_suite(tmp_path, capsys):
     # rneg and all run the informational X23; other suites do not
     out_path = tmp_path / "rep.json"
     code, _, _ = run_cli(capsys, "verify", "rneg", "--check", "X23", "--trials", "2",
-                         "--dims", "2..3", "--nodes", "48", "--out", str(out_path))
+                         "--dims", "2..3", "--out", str(out_path))
     assert code == 0
     rows = json.loads(out_path.read_text())["checks"]
     assert [(c["id"], c["informational"]) for c in rows] == [("X23", True)]
@@ -235,7 +268,7 @@ def test_verify_replay_requires_check(capsys):
 
 def test_verify_replay_round_trip(tmp_path, capsys):
     out_path = tmp_path / "rep.json"
-    args = ("--trials", "5", "--dims", "2..4", "--nodes", "48", "--seed", "11")
+    args = ("--trials", "5", "--dims", "2..4", "--seed", "11")
     code, _, _ = run_cli(capsys, "verify", "r12", "--check", "C09", *args,
                          "--out", str(out_path))
     assert code == 0
@@ -257,7 +290,7 @@ def test_verify_replay_unknown_seed(capsys):
 
 def test_verify_pd_flag(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "r12", "--check", "C12", "--pd",
-                           "--trials", "4", "--dims", "2..3", "--nodes", "48",
+                           "--trials", "4", "--dims", "2..3",
                            "--out", str(tmp_path / "rep.json"))
     assert code == 0
 
@@ -266,7 +299,7 @@ def test_verify_tiny_tolerance_fails_closed(tmp_path, capsys):
     # identity residuals sit around 1e-13; an absurd tolerance must trip
     # the failure exit path rather than being silently clamped
     code, out, _ = run_cli(capsys, "verify", "identities", "--check", "I01",
-                           "--trials", "2", "--dims", "2..3", "--nodes", "48",
+                           "--trials", "2", "--dims", "2..3",
                            "--tol", "1e-300", "--out", str(tmp_path / "rep.json"))
     assert code == 3
     assert "FAIL" in out
@@ -281,7 +314,7 @@ def test_usage_errors_exit_one(capsys):
 
 def test_r_override_passthrough(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "verify", "r12", "--check", "C09", "--r", "1.5",
-                         "--trials", "3", "--dims", "2..3", "--nodes", "48",
+                         "--trials", "3", "--dims", "2..3",
                          "--out", str(tmp_path / "rep.json"))
     assert code == 0
     # r outside the check's branch is a precondition problem, not usage
@@ -297,7 +330,7 @@ def test_python_dash_m_runs_cli(tmp_path):
     out_path = tmp_path / "rep.json"
     proc = subprocess.run(
         [sys.executable, "-m", "sectormeans", "verify", "identities", "--check", "I01",
-         "--trials", "2", "--dims", "2..3", "--nodes", "48", "--out", str(out_path)],
+         "--trials", "2", "--dims", "2..3", "--out", str(out_path)],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

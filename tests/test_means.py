@@ -11,11 +11,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectormeans import (
     EigenbasisConditionError,
+    NodeBudgetError,
     NonAccretiveWarning,
     PreconditionError,
     PrincipalBranchError,
@@ -37,6 +39,7 @@ from sectormeans import (
     sector_angle,
 )
 from sectormeans.linalg import inverse
+from sectormeans.quadrature import MIN_NODES, node_count
 
 from conftest import rel_err
 
@@ -109,25 +112,119 @@ def test_power_quad_matches_eigen(r):
         assert rel_err(quad, eig) <= 1e-8
 
 
-@pytest.mark.parametrize("r", [-0.6, 0.4, 1.7])
-def test_power_quad_normal_oracle(r):
-    # normal A = U diag(lam) U* has A^r = U diag(lam^r) U*; |lam| spans 3e4
-    # and arg(lam) reaches +-1.2, so the integrand's poles come close to [0, 1]
+def normal_pair(kappa):
+    """A normal 6x6 A = U diag(lam) U* and the oracle r -> U diag(lam^r) U*.
+
+    |lam| is log-spaced over [1, kappa] and arg(lam) reaches +-1.2, so the
+    integrand's poles come close to [0, 1].
+    """
     n = 6
     U = gen_unitary(n, 5)
-    lam = np.logspace(0.0, math.log10(3e4), n) * np.exp(1j * np.linspace(-1.2, 1.2, n))
-    A = (U * lam) @ U.conj().T
-    expect = (U * lam**r) @ U.conj().T
-    assert rel_err(principal_power_quad(A, r, 80), expect) <= 1e-8
+    lam = np.logspace(0.0, math.log10(kappa), n) * np.exp(1j * np.linspace(-1.2, 1.2, n))
+    return (U * lam) @ U.conj().T, lambda r: (U * lam**r) @ U.conj().T
 
 
-def test_power_quad_node_doubling_stable():
-    """Beyond 64 nodes the rule is converged for conditioned inputs."""
+@pytest.mark.parametrize("r", [-0.6, 0.4, 1.7])
+def test_power_quad_normal_oracle(r):
+    A, oracle = normal_pair(3e4)
+    assert rel_err(principal_power_quad(A, r), oracle(r)) <= 1e-12
+    # the centred spectrum needs 147 nodes here, so a budget of 80 refuses
+    with pytest.raises(NodeBudgetError):
+        principal_power_quad(A, r, 80)
+
+
+@pytest.mark.parametrize(
+    "kappa,n_nodes,tol", [(3e4, 147, 1e-12), (1e5, 199, 1e-11), (1e6, 353, 1e-10), (1e7, 628, 1e-9)]
+)
+def test_quad_routes_ill_conditioned_ladder(kappa, n_nodes, tol):
+    A, oracle = normal_pair(kappa)
+    lam = np.linalg.eigvals(A)
+    size = np.abs(lam)
+    assert node_count(lam / math.sqrt(size.min() * size.max())) == n_nodes
+    eye = np.eye(len(A))
+    for r in (-0.6, 0.4, 1.7):
+        assert rel_err(principal_power_quad(A, r), oracle(r)) <= tol
+        assert rel_err(geometric_mean_integral(eye, A, r), oracle(r)) <= tol
+
+
+def test_quad_routes_refuse_past_the_budget():
+    A, _ = normal_pair(1e8)  # needs 1116 nodes, past MAX_NODES
+    with pytest.raises(NodeBudgetError, match="1116"):
+        principal_power_quad(A, 0.4)
+    with pytest.raises(NodeBudgetError):
+        geometric_mean_integral(np.eye(len(A)), A, 1.7)
+    with pytest.raises(NodeBudgetError):
+        geometric_mean(A, np.eye(len(A)), -0.6, engine="quad")
+
+
+def test_power_quad_budget_is_a_ceiling():
+    """The budget bounds the rule; it does not size it."""
     A = gen_accretive(5, 42)
+    lam = np.linalg.eigvals(A)
+    size = np.abs(lam)
+    need = node_count(lam / math.sqrt(size.min() * size.max()))
+    assert need < 128
     for r in (-0.5, 0.5, 1.5):
-        v64 = principal_power_quad(A, r, 64)
-        v128 = principal_power_quad(A, r, 128)
-        assert rel_err(v64, v128) <= 1e-10
+        assert np.array_equal(principal_power_quad(A, r, 128), principal_power_quad(A, r, 1024))
+        assert np.array_equal(principal_power_quad(A, r, need), principal_power_quad(A, r))
+        with pytest.raises(NodeBudgetError, match=str(need)):
+            principal_power_quad(A, r, need - 1)
+
+
+def shifted_jordan(n, t):
+    """I + t S for the n x n upper shift S, and the oracle
+    r -> sum_k binom(r, k) (t S)^k, a finite sum since S^n = 0."""
+    N = t * np.eye(n, k=1)
+
+    def oracle(r):
+        out, term, coef = np.zeros((n, n)), np.eye(n), 1.0
+        for k in range(n):
+            out += coef * term
+            term, coef = term @ N, coef * (r - k) / (k + 1)
+        return out
+
+    return np.eye(n) + N, oracle
+
+
+def test_quad_routes_resolve_a_jordan_block():
+    """Every eigenvalue of I + 0.9 S sits at 1, where the spectrum places no
+    pole, so node_count gives the floor.  The integrand is a polynomial of
+    degree 11 in s, which 4 nodes integrate only to about 1e-4; the
+    truncation estimate sees the slow decay and doubles the rule."""
+    A, oracle = shifted_jordan(12, 0.9)
+    assert node_count(np.linalg.eigvals(A)) == MIN_NODES
+    eye = np.eye(len(A))
+    for r in (-0.6, 0.4, 1.7):
+        assert rel_err(principal_power_quad(A, r), oracle(r)) <= 1e-14
+        assert rel_err(geometric_mean_integral(eye, A, r), oracle(r)) <= 1e-14
+        assert rel_err(geometric_mean(eye, A, r, engine="quad"), oracle(r)) <= 1e-14
+    # 4 nodes are within a budget of 7, but the doubled rule is not
+    with pytest.raises(NodeBudgetError, match="not resolved by 4"):
+        principal_power_quad(A, 0.4, 7)
+
+
+@pytest.mark.parametrize("r", [-0.6, 0.4, 1.7])
+def test_power_quad_far_from_normal(r):
+    """A bidiagonal with eigenvalues 1..1.5 and a unit superdiagonal: the
+    count from its spectrum (7 nodes) leaves 8e-12; the estimate refines it."""
+    A = np.diag(np.linspace(1.0, 1.5, 12)) + np.eye(12, k=1)
+    lam = np.linalg.eigvals(A)
+    assert node_count(lam / math.sqrt(lam.real.min() * lam.real.max())) == 7
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonAccretiveWarning)
+        got = principal_power_quad(A, r)
+    assert rel_err(got, scipy.linalg.fractional_matrix_power(A, r)) <= 1e-14
+
+
+def test_power_quad_refuses_near_the_cut():
+    # eigenvalue 1e-10 above the cut: the integrand's pole sits 1e-10 from
+    # [0, 1], so no node budget can resolve it; the route used to return
+    # 4e-9j for an entry whose principal root is about 1j
+    A = np.diag([-1.0 + 1e-10j, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonAccretiveWarning)
+        with pytest.raises(NodeBudgetError):
+            principal_power_quad(A, 0.5)
 
 
 def test_power_inverse_relation():

@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
 from sectormeans import (
+    NodeBudgetError,
     PreconditionError,
     QuadratureRule,
     jacobi_exponents,
@@ -21,7 +22,7 @@ from sectormeans import (
     quadrature_rule,
     sine_prefactor,
 )
-from sectormeans.quadrature import MAX_NODES
+from sectormeans.quadrature import MAX_NODES, MIN_NODES, node_count, truncation_estimate
 
 BRANCH_SAMPLES = [(-0.7, "rneg"), (-0.2, "rneg"), (0.3, "r01"), (0.5, "r01"),
                   (0.9, "r01"), (1.2, "r12"), (1.5, "r12"), (1.8, "r12")]
@@ -112,6 +113,53 @@ def test_rule_validation():
     with pytest.raises(PreconditionError, match=str(MAX_NODES)):
         quadrature_rule(0.5, MAX_NODES + 1)
     assert len(good) == 8
+
+
+@pytest.mark.parametrize("r", [-0.6, 0.4, 1.7])
+def test_probes_read_jacobi_coefficients(r):
+    """Row 0 is the weights; the other rows pick out coefficients of degree
+    h-1, h, n-2 and n-1 (h = n // 2), which vanish on lower-degree polynomials."""
+    rule = quadrature_rule(r, 16)
+    assert rule.probes.shape == (5, 16)
+    assert np.array_equal(rule.probes[0], rule.weights)
+    low = rule.probes @ (1.0 + rule.nodes**3)
+    assert low[0] > 1.0 and np.all(np.abs(low[1:]) <= 1e-13)
+    # s^15 has a coefficient of degree 15, and of degree 14 too
+    top = rule.probes @ rule.nodes**15
+    assert np.all(np.abs(top[3:]) >= 1e-9)
+    assert QuadratureRule(r=r, nodes=rule.nodes, weights=rule.weights).probes is None
+
+
+def test_truncation_estimate():
+    # decay 1e-4 over the 4 degrees from h = 5 to n-1 = 9, carried 11 more to 2n = 20
+    est = truncation_estimate(10, np.array([1e-4, 5e-5, 1e-8, 2e-9]))
+    assert est == pytest.approx(1e-8 * 1e-4 ** (11 / 4), rel=1e-9)
+    # a top that has not decayed below the middle is its own estimate
+    assert truncation_estimate(10, np.array([1e-3, 1e-3, 2e-3, 1e-4])) == 2e-3
+    # at the floor the two pairs overlap in degree 2
+    assert truncation_estimate(MIN_NODES, np.array([1e-2, 1e-3, 1e-3, 1e-4])) == pytest.approx(
+        1e-3 * 1e-1**5
+    )
+
+
+def test_node_count_from_the_spectrum():
+    # no pole (mu = 1): the floor; the count grows as a pole nears [0, 1]
+    assert node_count(np.array([1.0, 1.0])) == MIN_NODES
+    counts = [node_count(np.array([1.0 / k, k])) for k in (2.0, 10.0, 100.0, 1e4)]
+    assert counts == sorted(counts) and counts[0] < counts[-1]
+    # rho = |sqrt(mu) + 1| / |sqrt(mu) - 1| = 3 at mu = 4: ceil(log(1e16) / (2 log 3))
+    assert node_count(np.array([4.0])) == 17
+    # the bound depends on the spectrum, not on the budget
+    mu = np.array([0.01, 100.0j])
+    assert node_count(mu, 200) == node_count(mu, MAX_NODES)
+    with pytest.raises(NodeBudgetError, match=str(node_count(mu))):
+        node_count(mu, node_count(mu) - 1)
+    # on the cut no count suffices
+    with pytest.raises(NodeBudgetError):
+        node_count(np.array([-1.0, 1.0]))
+    for bad in (MIN_NODES - 1, MAX_NODES + 1):
+        with pytest.raises(PreconditionError, match="nodes"):
+            node_count(mu, bad)
 
 
 def test_rule_polynomial_exactness():
