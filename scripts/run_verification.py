@@ -17,7 +17,7 @@ import time
 import warnings
 
 from sectormeans import NonAccretiveWarning, PreconditionError, RunConfig, run_suite
-from sectormeans.cli import parse_dims, print_report, write_report
+from sectormeans.cli import NODES_HELP, parse_dims, print_report, write_report
 
 SUITES = ("r01", "r12", "rneg", "identities")
 
@@ -28,8 +28,7 @@ def parse_args(argv):
     ap.add_argument("--seed", type=int, default=run.seed)
     ap.add_argument("--trials", type=int, default=run.trials)
     ap.add_argument("--dims", type=parse_dims, default=(run.dim_min, run.dim_max), metavar="A..B")
-    ap.add_argument("--nodes", type=int, default=run.nodes,
-                    help="node budget: the most Gauss-Jacobi nodes a quadrature route may use")
+    ap.add_argument("--nodes", type=int, default=run.nodes, help=NODES_HELP)
     ap.add_argument("--tol", type=float, default=run.tol)
     ap.add_argument("--out-dir", default="runs")
     args = ap.parse_args(argv)

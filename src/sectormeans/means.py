@@ -24,14 +24,15 @@ accepts a rule's result only when the decay of the integrand's probed
 Jacobi coefficients puts its error below TRUNCATION_TOL, and doubles the
 count otherwise.  The `nodes` argument of every quadrature route is the
 most it may use; past that budget the route raises NodeBudgetError instead
-of returning digits it cannot certify.  Each node costs one linear solve, the nodes go through a
-batched `solve` in blocks of NODE_BLOCK, and nothing is inverted.  The power
-A^r is the kernel on (I, A); the mean's direct integral form is the kernel
-on (A, B).
+of returning digits it cannot certify.  Each node costs one linear solve,
+the nodes go through a batched `solve` in blocks of NODE_BLOCK, and nothing
+is inverted.  The power A^r is the kernel on (I, A); the mean A #_r B is
+the kernel on (A, B), its direct integral form.
 
 The eigen route diagonalizes and applies the principal branch of z^r on the
 spectrum; the mean A #_r B is then the congruence
-A^{1/2} (A^{-1/2} B A^{-1/2})^r A^{1/2}.
+A^{1/2} (A^{-1/2} B A^{-1/2})^r A^{1/2}.  So each object has one route per
+engine, and `principal_power` and `geometric_mean` pick it by name.
 """
 
 from __future__ import annotations
@@ -257,32 +258,31 @@ def geometric_mean(
     engine: str = "eigen",
     nodes: int = MAX_NODES,
 ) -> np.ndarray:
-    """Weighted geometric mean A #_r B = A^{1/2} (A^{-1/2} B A^{-1/2})^r A^{1/2}.
+    """Weighted geometric mean A #_r B, by the route `engine` names.
 
-    The inner matrix is checked for accretivity at runtime: when it fails but
-    its spectrum still avoids the branch cut, a NonAccretiveWarning is issued
-    and the principal power is taken anyway; when the spectrum touches the
-    cut, PrincipalBranchError is raised.
+    "quad" is `geometric_mean_integral` with at most `nodes` nodes.  "eigen"
+    is the congruence A^{1/2} (A^{-1/2} B A^{-1/2})^r A^{1/2} with both
+    powers from `principal_power_eigen`.  Its inner matrix is checked for
+    accretivity at runtime: when it fails but its spectrum still avoids the
+    branch cut, a NonAccretiveWarning is issued and the principal power is
+    taken anyway; when the spectrum touches the cut, PrincipalBranchError is
+    raised.
     """
-    A, B = as_matrix(A), as_matrix(B)
     if engine not in ENGINES:
         raise PreconditionError(f"unknown engine {engine!r}, expected one of {ENGINES}")
+    if engine == "quad":
+        return geometric_mean_integral(A, B, r, nodes)
+    A, B = as_matrix(A), as_matrix(B)
     r = float(r)
     branch = mean_order_branch(r)
     _require_accretive_pair(A, B)
     if branch == "endpoint":
         return A.copy() if r == 0.0 else B.copy()
-
-    def power(M: np.ndarray, p: float) -> np.ndarray:
-        if engine == "eigen":
-            return principal_power_eigen(M, p)
-        return _resolvent_mean(np.eye(len(M), dtype=np.complex128), M, p, nodes)
-
-    root = power(A, 0.5)
+    root = principal_power_eigen(A, 0.5)
     root_inv = inverse(root)
     inner = root_inv @ B @ root_inv
     _require_power_domain(inner, "inner congruence A^{-1/2} B A^{-1/2}")
-    return root @ power(inner, r) @ root
+    return root @ principal_power_eigen(inner, r) @ root
 
 
 def geometric_mean_integral(
@@ -292,9 +292,9 @@ def geometric_mean_integral(
 
     Each node solves with the pencil (1-s) B/c + s A, a weighted arithmetic
     mean of A and the centred B/c; no congruence, no fractional power and no
-    inverse is involved, which makes this an independent cross-check of
-    `geometric_mean`.  r = 0 and r = 1 pass A and B through, as
-    `geometric_mean` does.
+    inverse is involved, which makes this an independent cross-check of the
+    eigen route of `geometric_mean`.  r = 0 and r = 1 pass A and B through,
+    as that route does.
     """
     A, B = as_matrix(A), as_matrix(B)
     _require_accretive_pair(A, B)

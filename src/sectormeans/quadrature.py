@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -127,18 +126,17 @@ def node_count(mu: np.ndarray, budget: int = MAX_NODES) -> int:
 class QuadratureRule:
     """Nodes in (0, 1) and positive weights summing to 1 for one mean order.
 
-    `probes`, set by `quadrature_rule`, has one row per degree k in
-    (0, h-1, h, n-2, n-1), h = n // 2, of w_j p_k(x_j) / p_0 for the
-    measure's orthonormal polynomials p_k: summed against an integrand's
-    values at the nodes, a row gives its discrete Jacobi coefficient of
-    degree k, in units where degree 0 is the integral.  Row 0 is thus the
-    weights.  A rule built from given arrays has none unless they are given.
+    `probes` has one row per degree k in (0, h-1, h, n-2, n-1), h = n // 2,
+    of w_j p_k(x_j) / p_0 for the measure's orthonormal polynomials p_k:
+    summed against an integrand's values at the nodes, a row gives its
+    discrete Jacobi coefficient of degree k, in units where degree 0 is the
+    integral.  Row 0 is thus the weights.
     """
 
     r: float
     nodes: np.ndarray
     weights: np.ndarray
-    probes: Optional[np.ndarray] = None
+    probes: np.ndarray
 
     def __post_init__(self) -> None:
         mean_order_branch(self.r)

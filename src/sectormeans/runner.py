@@ -273,6 +273,18 @@ def _run_one_trial(
     return {"trial": trial, "failed": True, "reason": last_reason}
 
 
+def _require_r_override(check: Check, config: RunConfig) -> None:
+    """Refuse an `r_override` outside every admissible interval of the check."""
+    r0 = config.r_override
+    if r0 is None or not check.r_intervals:
+        return
+    if not any(lo < r0 < hi for lo, hi in check.r_intervals):
+        intervals = " or ".join(f"({lo}, {hi})" for lo, hi in check.r_intervals)
+        raise PreconditionError(
+            f"r={r0} lies outside the admissible interval(s) {intervals} of {check.id}"
+        )
+
+
 def run_check(
     check: Check,
     config: RunConfig,
@@ -290,13 +302,7 @@ def run_check(
     flip = mutate == "flip"
     if flip and check.kind == "identity":
         raise PreconditionError(f"direction flip is undefined for identity check {check.id}")
-    if config.r_override is not None and check.r_intervals:
-        r0 = config.r_override
-        if not any(lo < r0 < hi for lo, hi in check.r_intervals):
-            intervals = " or ".join(f"({lo}, {hi})" for lo, hi in check.r_intervals)
-            raise PreconditionError(
-                f"r={r0} lies outside the admissible interval(s) {intervals} of {check.id}"
-            )
+    _require_r_override(check, config)
     seed = config.seed if master_seed is None else master_seed
 
     start = time.perf_counter()
@@ -364,6 +370,7 @@ def replay_trial(check_id: str, seed: int, config: RunConfig) -> dict:
     r-interval and map/norm rotation the original trial saw.
     """
     check = check_by_id(check_id)
+    _require_r_override(check, config)
     position = None
     for trial in range(config.trials):
         for attempt in range(MAX_RETRIES + 1):

@@ -61,7 +61,6 @@ class SectorCertificate:
 
     matrix: np.ndarray
     alpha: float
-    accretivity_margin: float
     angle: float
 
 
@@ -170,13 +169,12 @@ def _sectorial(n: int, alpha: float, rng: np.random.Generator) -> SectorCertific
     S = S * (tau * math.tan(alpha) / nrm)
     Hsqrt = sqrt_pd(H)
     X = H + 1j * (Hsqrt @ S @ Hsqrt)
-    margin = float(np.linalg.eigvalsh(H)[0])
     realized = sector_angle(X)
     if not (0.4 * alpha - 1e-9 <= realized <= alpha + 1e-9):
         raise RuntimeError(
             f"sectorial generator out of contract: requested {alpha}, realized {realized}"
         )
-    return SectorCertificate(matrix=X, alpha=alpha, accretivity_margin=margin, angle=realized)
+    return SectorCertificate(matrix=X, alpha=alpha, angle=realized)
 
 
 def gen_pd(n: int, seed: int) -> np.ndarray:
@@ -197,9 +195,7 @@ def gen_sectorial(n: int, alpha: float, seed: int) -> SectorCertificate:
     """
     alpha = validate_sector_angle(alpha)
     if alpha == 0.0:
-        return SectorCertificate(
-            matrix=gen_pd(n, seed), alpha=0.0, accretivity_margin=0.1, angle=0.0
-        )
+        return SectorCertificate(matrix=gen_pd(n, seed), alpha=0.0, angle=0.0)
     return _sectorial(_check_dim(n), alpha, np.random.default_rng(seed))
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sectormeans import dumps_matrix, loads_matrix, ui_norm
+from sectormeans import derive_seed, dumps_matrix, loads_matrix, ui_norm
 from sectormeans.cli import CSV_HEADER, main
 from sectormeans.quadrature import MAX_NODES
 
@@ -60,7 +60,7 @@ def test_compute_power_rejects_nonaccretive(tmp_path, capsys):
 def test_compute_mean_rejects_nonaccretive(tmp_path, capsys):
     bad = put(tmp_path, "bad.json", [[-1.0]])
     good = put(tmp_path, "good.json", [[4.0]])
-    for engine in ("integral", "quad", "eigen"):
+    for engine in ("quad", "eigen"):
         code, _, err = run_cli(capsys, "compute", "mean", bad, good,
                                "--r", "0.5", "--engine", engine)
         assert code == 2
@@ -78,11 +78,22 @@ def test_compute_mean_scalar(tmp_path, capsys):
 def test_compute_mean_engines(tmp_path, capsys):
     a = put(tmp_path, "a.json", np.diag([1.0, 2.0]))
     b = put(tmp_path, "b.json", np.diag([4.0, 2.0]))
-    for engine in ("integral", "eigen", "quad"):
+    for engine in ("eigen", "quad"):
         code, out, _ = run_cli(capsys, "compute", "mean", a, b,
                                "--r", "1.5", "--engine", engine)
         assert code == 0
         np.testing.assert_allclose(loads_matrix(out), np.diag([8.0, 2.0]), atol=1e-8)
+
+
+def test_compute_mean_quad_is_the_default(tmp_path, capsys):
+    """--engine quad is the branch integral, which the default runs too."""
+    a = put(tmp_path, "a.json", [[2.0, 1.0 + 0.5j], [0.2j, 3.0]])
+    b = put(tmp_path, "b.json", [[1.5, 0.3], [-0.4j, 2.5 + 0.5j]])
+    for r in ("-0.6", "0.3", "1.4"):
+        _, default, _ = run_cli(capsys, "compute", "mean", a, b, "--r", r)
+        code, quad, _ = run_cli(capsys, "compute", "mean", a, b, "--r", r, "--engine", "quad")
+        assert code == 0
+        assert quad == default
 
 
 def test_compute_mean_endpoint_passthrough(tmp_path, capsys):
@@ -131,14 +142,10 @@ def test_compute_norm_matches_ui_norm(tmp_path, capsys):
 
 def test_node_count_above_cap_exits_two(tmp_path, capsys):
     """A count past MAX_NODES is refused before any rule is built."""
-    path = put(tmp_path, "a.json", np.diag([1.0, 4.0]))
-    too_many = str(MAX_NODES + 1)
-    for argv in (("compute", "power", path, "--r", "0.5", "--nodes", too_many),
-                 ("verify", "r12", "--check", "C09", "--trials", "1", "--nodes", too_many,
-                  "--out", str(tmp_path / "rep.json"))):
-        code, _, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert len(err.splitlines()) == 1 and "nodes" in err
+    code, _, err = run_cli(capsys, "verify", "r12", "--check", "C09", "--trials", "1",
+                           "--nodes", str(MAX_NODES + 1), "--out", str(tmp_path / "rep.json"))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "nodes" in err
     assert not (tmp_path / "rep.json").exists()
 
 
@@ -321,6 +328,15 @@ def test_r_override_passthrough(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "r12", "--check", "C09", "--r", "0.5",
                            "--trials", "3")
     assert code == 2
+
+
+def test_replay_refuses_r_outside_the_check(capsys):
+    """--replay applies the same r-interval check as a run does."""
+    seed = derive_seed(42, "C09", 0, 0)
+    code, out, err = run_cli(capsys, "verify", "r12", "--check", "C09",
+                             "--replay", str(seed), "--r", "0.5")
+    assert code == 2 and out == ""
+    assert "r=0.5 lies outside the admissible interval(s) (1.0, 2.0) of C09" in err
 
 
 def test_python_dash_m_runs_cli(tmp_path):

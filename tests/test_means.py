@@ -197,7 +197,6 @@ def test_quad_routes_resolve_a_jordan_block():
     for r in (-0.6, 0.4, 1.7):
         assert rel_err(principal_power_quad(A, r), oracle(r)) <= 1e-14
         assert rel_err(geometric_mean_integral(eye, A, r), oracle(r)) <= 1e-14
-        assert rel_err(geometric_mean(eye, A, r, engine="quad"), oracle(r)) <= 1e-14
     # 4 nodes are within a budget of 7, but the doubled rule is not
     with pytest.raises(NodeBudgetError, match="not resolved by 4"):
         principal_power_quad(A, 0.4, 7)
@@ -324,6 +323,14 @@ def test_geometric_engine_quad_agrees():
                        geometric_mean(A, B, r, engine="eigen")) <= 1e-8
 
 
+def test_geometric_engine_quad_is_the_integral():
+    """engine="quad" is the branch integral on (A, B), to the last bit."""
+    A, B = gen_accretive(4, 67), gen_accretive(4, 68)
+    for r in (-0.6, 0.3, 1.4):
+        assert np.array_equal(geometric_mean(A, B, r, engine="quad"),
+                              geometric_mean_integral(A, B, r))
+
+
 @pytest.mark.parametrize("c", [1e-15, 2.0**-60, 1e6])
 def test_domain_tests_scale_invariant(c):
     # the means are homogeneous, so scaling the inputs may change neither a
@@ -368,7 +375,7 @@ def test_integral_matches_congruence(r):
 @pytest.mark.parametrize("r", [-0.6, 0.4, 1.7])
 def test_mean_routes_match_mpmath(r):
     # 30-digit congruence A^{1/2} (A^{-1/2} B A^{-1/2})^r A^{1/2}, computed
-    # with mpmath's own sqrtm and powm, against all three double routes
+    # with mpmath's own sqrtm and powm, against both double routes
     mp = pytest.importorskip("mpmath").mp
     A = gen_sectorial(4, 1.2, 1).matrix
     B = gen_sectorial(4, 1.2, 2).matrix
@@ -378,7 +385,6 @@ def test_mean_routes_match_mpmath(r):
         inner = root_inv * mp.matrix(B.tolist()) * root_inv
         expect = np.array((root * mp.powm(inner, r) * root).tolist(), dtype=np.complex128)
     assert rel_err(geometric_mean(A, B, r), expect) <= 1e-12
-    assert rel_err(geometric_mean(A, B, r, engine="quad"), expect) <= 1e-12
     assert rel_err(geometric_mean_integral(A, B, r), expect) <= 1e-12
 
 

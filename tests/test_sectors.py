@@ -152,7 +152,6 @@ def test_gen_sectorial_certificate(n, alpha, seed):
     cert = gen_sectorial(n, alpha, seed)
     assert isinstance(cert, SectorCertificate)
     assert cert.alpha == alpha
-    assert cert.accretivity_margin > 0
     assert in_sector(cert.matrix, alpha)
     assert sector_angle(cert.matrix) <= alpha + 1e-9
     assert cert.angle == sector_angle(cert.matrix)
