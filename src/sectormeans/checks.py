@@ -333,14 +333,11 @@ def _ev_sector_closure(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEva
     M = _mean(inst.A, inst.B, inst.r, ctx)
     R, S = real_part(M), imag_part(M)
     scale = op_norm(M)
+    accretive = loewner_margin(0.0, M)
 
     def membership(alpha: float) -> float:
-        t = math.tan(alpha)
-        return min(
-            float(np.linalg.eigvalsh(R)[0]),
-            float(np.linalg.eigvalsh(t * R - S)[0]),
-            float(np.linalg.eigvalsh(t * R + S)[0]),
-        )
+        tR = math.tan(alpha) * R
+        return min(accretive, loewner_margin(S, tR), loewner_margin(-S, tR))
 
     margin = membership(inst.alpha)
     strict = (

@@ -8,8 +8,8 @@ Two command families:
 Exit codes: 0 success, 1 usage error, 2 precondition failure (bad input
 matrix, hypothesis violation, or a result that fails its certificate, such
 as a numerical radius outside ||A||/2 <= w <= ||A||), 3 verification
-failure (a check reported violations, or a trial needed more quadrature
-nodes than the budget).
+failure (a check reported violations, or a trial raised an error, such as
+needing more quadrature nodes than the budget).
 """
 
 from __future__ import annotations
@@ -223,7 +223,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         ns = parser.parse_args(argv)
         if ns.command == "compute":
-            return _cmd_compute(ns)
+            # a warning (such as a NonAccretiveWarning) prints as one stable line
+            with warnings.catch_warnings():
+                warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+                return _cmd_compute(ns)
         return _cmd_verify(ns)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Dense complex linear algebra shared by every other module.
 
 Matrices are square numpy arrays of complex128.  The Hermitian/Cartesian
-parts are formed so that the result is Hermitian to the last bit, and the
-Loewner comparison returns an explicit margin (smallest eigenvalue of the
-difference) so callers can report how close a comparison came to failing.
+parts are formed so that the result is Hermitian to the last bit.
+`loewner_margin` is the one cone-margin primitive (lambda_min of the
+Hermitian part of a difference): the Loewner order, accretivity and the
+sector cones are all measured by it.
 
 `as_matrix` is the validation boundary.  The kernels `is_hermitian`,
 `real_part`, `imag_part`, `inverse`, `sqrt_pd`, `singular_values` and
@@ -118,9 +119,9 @@ def sqrt_pd(H: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(w)) @ V.conj().T
 
 
-def loewner_margin(lhs: np.ndarray, rhs: np.ndarray) -> float:
+def loewner_margin(lhs: np.ndarray | float, rhs: np.ndarray) -> float:
     """Margin of the Loewner comparison lhs <= rhs: lambda_min of the
-    Hermitian part of rhs - lhs.
+    Hermitian part of rhs - lhs (lhs = 0.0 gives lambda_min(Re rhs)).
 
     Callers that judge it relative to the operands pair it with the scale
     max(||lhs||, ||rhs||), under which the comparison is invariant to scaling

@@ -13,8 +13,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sectormeans import derive_seed, dumps_matrix, loads_matrix, ui_norm
+from sectormeans import (
+    NonAccretiveWarning,
+    derive_seed,
+    dumps_matrix,
+    gen_accretive,
+    geometric_mean,
+    loads_matrix,
+    ui_norm,
+)
+from sectormeans import checks
 from sectormeans.cli import CSV_HEADER, main
+from sectormeans.norms import RadiusCertificateError
 from sectormeans.quadrature import MAX_NODES
 
 
@@ -102,6 +112,28 @@ def test_compute_mean_endpoint_passthrough(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "compute", "mean", a, b, "--r", "0")
     assert code == 0
     np.testing.assert_allclose(loads_matrix(out), np.diag([1.0, 2.0]), atol=0)
+
+
+def test_compute_mean_warning_is_one_line(tmp_path, capsys):
+    """gen_accretive(2, 0) # gen_accretive(2, 1000): the eigen route's inner
+    congruence leaves the accretive cone but avoids the cut, so the mean is
+    printed as it is and the warning is one stable stderr line."""
+    a = put(tmp_path, "a.json", gen_accretive(2, 0))
+    b = put(tmp_path, "b.json", gen_accretive(2, 1000))
+    with warnings.catch_warnings():
+        # the filters of a fresh interpreter, not the test config's ignore
+        warnings.resetwarnings()
+        code, out, err = run_cli(capsys, "compute", "mean", a, b,
+                                 "--r", "0.5", "--engine", "eigen")
+    assert code == 0
+    assert err == (
+        "warning: inner congruence A^{-1/2} B A^{-1/2} is not accretive; "
+        "principal branch still defined, proceeding\n"
+    )
+    A, B = (loads_matrix(Path(path).read_text()) for path in (a, b))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonAccretiveWarning)
+        assert out == dumps_matrix(geometric_mean(A, B, 0.5, engine="eigen")) + "\n"
 
 
 def test_compute_sector(tmp_path, capsys):
@@ -192,6 +224,34 @@ def test_verify_records_budget_refusals(tmp_path, capsys):
     errors = json.loads(out_path.read_text())["checks"][0]["errors"]
     assert [e["trial"] for e in errors] == [0, 1]
     assert all(e["seed"] >= 0 and "NodeBudgetError" in e["reason"] for e in errors)
+
+
+def test_verify_records_every_trial_error(tmp_path, capsys, monkeypatch):
+    """An exception outside the redrawable refusals is recorded against its
+    trial and seed; the other checks still run and the suite fails."""
+    calls = []
+    radius = checks.numerical_radius
+
+    def failing_once(A):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RadiusCertificateError("w(A) = 0.1 escapes ||A||/2 <= w <= ||A||")
+        return radius(A)
+
+    monkeypatch.setattr(checks, "numerical_radius", failing_once)
+    out_path = tmp_path / "rep.json"
+    code, out, _ = run_cli(capsys, "verify", "r01", "--trials", "3", "--dims", "2..3",
+                           "--out", str(out_path))
+    assert code == 3 and "1 errors" in out and "FAIL" in out
+    rep = json.loads(out_path.read_text())
+    assert len(rep["checks"]) == 11 and rep["summary"]["errors"] == 1
+    errors = {c["id"]: c["errors"] for c in rep["checks"] if c["errors"]}
+    assert errors == {"C04": [{
+        "trial": 0,
+        "seed": derive_seed(42, "C04", 0, 0),
+        "reason": "RadiusCertificateError: w(A) = 0.1 escapes ||A||/2 <= w <= ||A||",
+    }]}
+    assert all(c["violations"] == 0 and c["sampler_failures"] == 0 for c in rep["checks"])
 
 
 def test_verify_small_json(tmp_path, capsys):

@@ -16,6 +16,7 @@ from scipy.optimize import minimize
 
 from sectormeans import (
     PreconditionError,
+    RunConfig,
     derive_seed,
     gen_accretive,
     gen_pd,
@@ -154,7 +155,22 @@ def test_gen_sectorial_certificate(n, alpha, seed):
     assert cert.alpha == alpha
     assert in_sector(cert.matrix, alpha)
     assert sector_angle(cert.matrix) <= alpha + 1e-9
-    assert cert.angle == sector_angle(cert.matrix)
+    assert abs(cert.angle - sector_angle(cert.matrix)) <= 1e-12 * cert.angle
+
+
+def test_sectorial_contract_over_seeded_draws():
+    """The generator's correctness proof: the closed-form angle
+    arctan(tau * tan(alpha)) it certifies is the computed sector angle of
+    its matrix, and lies in [0.4 alpha, alpha), at every default alpha."""
+    alphas = RunConfig().alphas
+    draws = [(n, seed) for n in range(1, 9) for seed in range(63)]
+    draws += [(n, seed) for n in (16, 32, MAX_DIM) for seed in range(2)]
+    assert len(alphas) * len(draws) >= 2000
+    for alpha in alphas:
+        for n, seed in draws:
+            cert = gen_sectorial(n, alpha, derive_seed("contract", alpha, n, seed))
+            assert abs(cert.angle - sector_angle(cert.matrix)) <= 1e-12 * cert.angle
+            assert 0.4 * alpha <= cert.angle < alpha
 
 
 def test_generators_bitwise_deterministic():
