@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 usage error, 2 precondition failure (bad input
 matrix, hypothesis violation, or a result that fails its certificate, such
 as a numerical radius outside ||A||/2 <= w <= ||A||), 3 verification
 failure (a check reported violations, or a trial raised an error, such as
-needing more quadrature nodes than the budget).
+needing more quadrature nodes than the budget; a replayed trial that raises
+an error other than a precondition failure, such as a LAPACK failure,
+exits 3 too).
 """
 
 from __future__ import annotations
@@ -206,7 +208,14 @@ def _run_verify(ns: argparse.Namespace) -> int:
     if ns.replay is not None:
         if ns.check is None:
             raise UsageError("--replay requires --check to name the catalog entry")
-        result = replay_trial(ns.check, ns.replay, config)
+        try:
+            result = replay_trial(ns.check, ns.replay, config)
+        except PreconditionError:
+            raise
+        except Exception as exc:
+            # the run records this trial under `errors`; the replay reports it alike
+            print(f"trial error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 3
         print(json.dumps(result, indent=2))
         return 3 if result["violated"] else 0
 

@@ -25,9 +25,13 @@ Jacobi coefficients puts its error below TRUNCATION_TOL, and doubles the
 count otherwise.  The `nodes` argument of every quadrature route is the
 most it may use; past that budget the route raises NodeBudgetError instead
 of returning digits it cannot certify.  Each node costs one linear solve,
-the nodes go through a batched `solve` in blocks of NODE_BLOCK, and nothing
-is inverted.  The power A^r is the kernel on (I, A); the mean A #_r B is
-the kernel on (A, B), its direct integral form.
+and the nodes go through a batched `solve` in blocks of at most
+BLOCK_ENTRIES matrix entries.  The kernel takes a list of pairs at one
+order and integrates them all with one rule, at the largest count their
+spectra need, accepted only when every pair's estimate passes; a check
+that compares two means at the same r builds one rule.  The mean A #_r B
+is the kernel on (A, B), its direct integral form, which inverts nothing;
+the power A^r is the kernel on (I, A).
 
 The eigen route diagonalizes and applies the principal branch of z^r on the
 spectrum; the mean A #_r B is then the congruence
@@ -82,8 +86,9 @@ __all__ = [
 EIG_COND_LIMIT = 1e8
 
 ENGINES = ("quad", "eigen")
-# nodes per batched solve, so the kernel's memory does not grow with the count
-NODE_BLOCK = 32
+# matrix entries per batched solve (32 nodes at n = 64, every node of a
+# small matrix's rule), so the kernel's memory does not grow with the count
+BLOCK_ENTRIES = 32 * 64 * 64
 
 
 class NonAccretiveWarning(UserWarning):
@@ -176,32 +181,46 @@ def principal_power_eigen(A: np.ndarray, r: float) -> np.ndarray:
     return np.linalg.solve(V.T, ((V * powered).T)).T
 
 
-def _resolvent_mean(P: np.ndarray, Q: np.ndarray, r: float, nodes: int) -> np.ndarray:
-    """The centred quadrature kernel for P #_r Q on trusted arrays, r off {0, 1}.
+def _resolvent_mean(
+    pairs: list[tuple[np.ndarray, np.ndarray]], r: float, nodes: int
+) -> list[np.ndarray]:
+    """The centred quadrature kernel: P #_r Q for each pair, on trusted arrays.
 
-    `nodes` is the budget.  The rule starts at the count the centred
-    spectrum needs and doubles until its truncation estimate is below
-    TRUNCATION_TOL; NodeBudgetError is raised when that takes more nodes.
+    r lies off {0, 1}.  All pairs share one rule.  It starts at the largest
+    count their centred spectra need and doubles until every pair's
+    truncation estimate is below TRUNCATION_TOL; `nodes` is the budget, and
+    NodeBudgetError is raised when that takes more nodes.
     """
-    lam = np.linalg.eigvals(np.linalg.solve(P, Q))
-    size = np.abs(lam)
-    c = math.sqrt(size.min() * size.max())
-    n_nodes = node_count(lam / c, nodes)
-    Qc = Q / c
     k = math.ceil(r)
-    X, Y = (P if k == 0 else Qc), (Qc if k == 2 else P)
+    terms, centred = [], []
+    for P, Q in pairs:
+        lam = np.linalg.eigvals(np.linalg.solve(P, Q))
+        size = np.abs(lam)
+        c = math.sqrt(size.min() * size.max())
+        centred.append(lam / c)
+        Qc = Q / c
+        terms.append((P, Qc, c, P if k == 0 else Qc, Qc if k == 2 else P))
+    # the count is set by the nearest pole over all pairs
+    n_nodes = node_count(np.concatenate(centred), nodes)
     while True:
         rule = _cached_rule(r, n_nodes)
-        # row 0 sums the integral, the other rows the probed coefficients
-        moments = np.zeros((len(rule.probes), P.size), dtype=P.dtype)
-        for lo in range(0, n_nodes, NODE_BLOCK):
-            s = rule.nodes[lo:lo + NODE_BLOCK, None, None]
-            pencil = (1.0 - s) * Qc + s * P
-            integrand = np.linalg.solve(pencil, np.broadcast_to(Y, pencil.shape))
-            moments += rule.probes[:, lo:lo + NODE_BLOCK] @ integrand.reshape(len(s), -1)
-        sizes = np.linalg.norm(moments, axis=1)
-        if truncation_estimate(n_nodes, sizes[1:] / sizes[0]) <= TRUNCATION_TOL:
-            return c**r * (X @ moments[0].reshape(P.shape))
+        means = []
+        for P, Qc, c, X, Y in terms:
+            # row 0 sums the integral, the other rows the probed coefficients
+            moments = np.zeros((len(rule.probes), Qc.size), dtype=Qc.dtype)
+            block = max(1, BLOCK_ENTRIES // Qc.size)
+            for lo in range(0, n_nodes, block):
+                s = rule.nodes[lo:lo + block, None, None]
+                pencil = (1.0 - s) * Qc + s * P
+                # a leading axis marks Y as one matrix for every node
+                integrand = np.linalg.solve(pencil, Y[None])
+                moments += rule.probes[:, lo:lo + block] @ integrand.reshape(len(s), -1)
+            sizes = np.linalg.norm(moments, axis=1)
+            if not truncation_estimate(n_nodes, sizes[1:] / sizes[0]) <= TRUNCATION_TOL:
+                break
+            means.append(c**r * (X @ moments[0].reshape(Qc.shape)))
+        else:
+            return means
         if 2 * n_nodes > nodes:
             raise NodeBudgetError(
                 f"the integrand is not resolved by {n_nodes} quadrature nodes, and "
@@ -220,7 +239,7 @@ def principal_power_quad(A: np.ndarray, r: float, nodes: int = MAX_NODES) -> np.
     if mean_order_branch(r) == "endpoint":
         return np.eye(len(A), dtype=np.complex128) if r == 0.0 else A.copy()
     _require_power_domain(A, "quadrature power input")
-    return _resolvent_mean(np.eye(len(A), dtype=np.complex128), A, r, nodes)
+    return _resolvent_mean([(np.eye(len(A), dtype=np.complex128), A)], r, nodes)[0]
 
 
 @lru_cache(maxsize=512)
@@ -301,7 +320,7 @@ def geometric_mean_integral(
     r = float(r)
     if mean_order_branch(r) == "endpoint":
         return A.copy() if r == 0.0 else B.copy()
-    return _resolvent_mean(A, B, r, nodes)
+    return _resolvent_mean([(A, B)], r, nodes)[0]
 
 
 def reflection_identity(A: np.ndarray, B: np.ndarray, r: float) -> np.ndarray:

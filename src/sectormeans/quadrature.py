@@ -7,8 +7,11 @@ Each admissible exponent r outside {0, 1} gets one probability measure on
 
 So a, b lie in (-1, 0) with a + b = -1, and the total mass is exactly 1 by
 the reflection identity B(b+1, a+1) = pi / sin((b+1) pi).  Nodes and weights
-come from the symmetric tridiagonal Jacobi recurrence (Golub-Welsch); the
-weights are rescaled by the sine prefactor so they sum to 1.
+come from the eigenvectors of the symmetric tridiagonal Jacobi matrix
+(Golub-Welsch).  Since a + b = -1, that matrix is a closed form in b, and
+with mass 1 the weights are the squared first eigenvector components: the
+sine prefactor and the gamma functions of the general Jacobi weight never
+enter the build, so the mass holds to a few ulps as r nears an integer.
 
 `node_count` sizes a rule for an integrand whose poles are known.  A pole
 at x0 in the plane of [-1, 1] bounds the n-point Gauss error by about
@@ -131,6 +134,11 @@ class QuadratureRule:
     summed against an integrand's values at the nodes, a row gives its
     discrete Jacobi coefficient of degree k, in units where degree 0 is the
     integral.  Row 0 is thus the weights.
+
+    Construction checks the order, the shapes, the node count, that the
+    nodes increase strictly inside (0, 1), that the weights are positive
+    and that they sum to 1 within MASS_TOL, for every rule, including
+    those `quadrature_rule` builds.
     """
 
     r: float
@@ -145,9 +153,9 @@ class QuadratureRule:
             raise PreconditionError("nodes and weights must be matching 1-d arrays")
         if len(nodes) < MIN_NODES:
             raise PreconditionError(f"rule needs at least {MIN_NODES} nodes")
-        if not (np.all(nodes > 0.0) and np.all(nodes < 1.0) and np.all(np.diff(nodes) > 0.0)):
+        if not (nodes[0] > 0.0 and nodes[-1] < 1.0 and (nodes[1:] > nodes[:-1]).all()):
             raise PreconditionError("nodes must be strictly increasing inside (0, 1)")
-        if not np.all(weights > 0.0):
+        if not (weights > 0.0).all():
             raise PreconditionError("weights must be strictly positive")
         mass = float(weights.sum())
         if abs(mass - 1.0) > MASS_TOL:
@@ -175,48 +183,38 @@ def truncation_estimate(n_nodes: int, probe_norms: np.ndarray) -> float:
     return float(top * (top / mid) ** ((n_nodes + 1) / (n_nodes - 1 - n_nodes // 2)))
 
 
-def _jacobi_recurrence(a: float, b: float, m: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Three-term recurrence of the Jacobi weight (1-x)^a (1+x)^b on [-1, 1].
-
-    Returns the diagonal, the off-diagonal, and the zeroth moment of the
-    weight; valid for a, b > -1.
-    """
-    diag = np.empty(m)
-    diag[0] = (b - a) / (a + b + 2.0)
-    k = np.arange(1, m, dtype=float)
-    diag[1:] = (b * b - a * a) / ((2.0 * k + a + b) * (2.0 * k + a + b + 2.0))
-    off_sq = np.empty(m - 1)
-    off_sq[0] = 4.0 * (a + 1.0) * (b + 1.0) / ((a + b + 2.0) ** 2 * (a + b + 3.0))
-    k = np.arange(2, m, dtype=float)
-    off_sq[1:] = (
-        4.0 * k * (k + a) * (k + b) * (k + a + b)
-        / ((2.0 * k + a + b) ** 2 * ((2.0 * k + a + b) ** 2 - 1.0))
-    )
-    mu0 = 2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0) / math.gamma(a + b + 2.0)
-    return diag, np.sqrt(off_sq), mu0
-
-
 def quadrature_rule(r: float, n_nodes: int) -> QuadratureRule:
-    """Gauss-Jacobi rule with n_nodes points for the branch measure of r."""
+    """Gauss-Jacobi rule with n_nodes points for the branch measure of r.
+
+    With a + b = -1 the Jacobi matrix of the weight (1-x)^a (1+x)^b on
+    [-1, 1] has a closed form in b alone: the diagonal is
+    (2b+1) [1, -1/(4k^2-1)] for k >= 1, and the squared off-diagonal is
+    [-2b(b+1), (k(k-1) - b(b+1)) / (2k-1)^2] for k >= 2.  The measure has
+    mass exactly 1, so the weights are the squared first components of the
+    normalized eigenvectors, with no gamma function or sine to lose digits
+    near the integers.
+    """
     r = float(r)
     if mean_order_branch(r) == "endpoint":
         raise PreconditionError(f"no quadrature rule at the endpoint r={r}")
     n_nodes = require_node_count(n_nodes)
-    a, b = jacobi_exponents(r)
-    if not (-1.0 < a < 0.0 and -1.0 < b < 0.0):
-        raise PreconditionError(f"weight exponents out of range: a={a}, b={b}")
-    diag, off, mu0 = _jacobi_recurrence(a, b, n_nodes)
+    _, b = jacobi_exponents(r)
+    k = np.arange(1.0, n_nodes)
+    diag = np.empty(n_nodes)
+    diag[0], diag[1:] = 1.0, -1.0 / (4.0 * k * k - 1.0)
+    diag *= 2.0 * b + 1.0
+    bb, k = b * (b + 1.0), k[1:]
+    off_sq = np.empty(n_nodes - 1)
+    off_sq[0], off_sq[1:] = -2.0 * bb, (k * (k - 1.0) - bb) / (2.0 * k - 1.0) ** 2
     # LAPACK dstevd, the routine scipy.linalg.eigh_tridiagonal runs here
-    x, V, info = lapack("dstevd")(diag, off)
+    x, V, info = lapack("dstevd")(diag, np.sqrt(off_sq))
     if info != 0:
         raise np.linalg.LinAlgError(f"dstevd failed on the Jacobi matrix (info={info})")
     nodes = 0.5 * (x + 1.0)
-    # transform [-1,1] -> (0,1) and apply the sine prefactor; the 2^(a+b+1)
-    # factors of the affine change of variables and of mu0 cancel.
-    weights = sine_prefactor(r) * mu0 * 2.0 ** (-(a + b + 1.0)) * V[0] ** 2
-    # row k of V over row 0 is p_k / p_0 at the nodes (Golub-Welsch)
+    # row k of V over row 0 is p_k / p_0 at the nodes (Golub-Welsch), and
+    # the weights are V[0]**2, so each probe row is V[0] times a row of V
     half = n_nodes // 2
-    probes = np.vstack([weights, weights * V[[half - 1, half, n_nodes - 2, n_nodes - 1]] / V[0]])
-    for array in (nodes, weights, probes):
+    probes = V[0] * V[[0, half - 1, half, n_nodes - 2, n_nodes - 1]]
+    for array in (nodes, probes):
         array.flags.writeable = False
-    return QuadratureRule(r=r, nodes=nodes, weights=weights, probes=probes)
+    return QuadratureRule(r=r, nodes=nodes, weights=probes[0], probes=probes)

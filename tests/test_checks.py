@@ -24,7 +24,7 @@ from sectormeans import (
     sample_instance,
     suite_ids,
 )
-from sectormeans import checks, linalg
+from sectormeans import checks, linalg, means
 from sectormeans.checks import SUITE_NAMES, _branch_cos_exponent
 from sectormeans.quadrature import MAX_NODES, MIN_NODES
 from sectormeans.runner import _sample_r
@@ -343,3 +343,34 @@ def test_strict_margin_skips_the_scale(monkeypatch):
     monkeypatch.setattr(checks, "op_norm", counted)
     run_check(check_by_id("C12"), RunConfig(seed=42, trials=100))
     assert len(calls) == 200
+
+
+@pytest.mark.parametrize("cid", ["C07", "C08", "C09", "C10", "C26", "C27", "C28"])
+def test_paired_claims_build_one_rule_per_trial(cid, monkeypatch):
+    """A claim that compares two powers or means at one order integrates
+    both pairs over one rule: each trial builds exactly one."""
+    builds = []
+    build = means.quadrature_rule
+
+    def counted_build(r, n_nodes):
+        builds.append(n_nodes)
+        return build(r, n_nodes)
+
+    check = check_by_id(cid)
+    per_trial = []
+
+    def counted(inst, ctx, flip):
+        means._cached_rule.cache_clear()
+        before = len(builds)
+        try:
+            return check.evaluate(inst, ctx, flip)
+        finally:
+            per_trial.append(len(builds) - before)
+
+    monkeypatch.setattr(means, "quadrature_rule", counted_build)
+    try:
+        res = run_check(dataclasses.replace(check, evaluate=counted), RunConfig(seed=7, trials=20))
+    finally:
+        means._cached_rule.cache_clear()
+    assert res.trials == 20 and not res.errors
+    assert per_trial == [1] * 20

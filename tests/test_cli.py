@@ -254,6 +254,25 @@ def test_verify_records_every_trial_error(tmp_path, capsys, monkeypatch):
     assert all(c["violations"] == 0 and c["sampler_failures"] == 0 for c in rep["checks"])
 
 
+def test_replay_of_an_errored_trial_exits_three(tmp_path, capsys, monkeypatch):
+    """A trial error outside the precondition failures, such as a LAPACK
+    LinAlgError, replays as one stderr line and exit 3, as its run ended."""
+
+    def failing(A):
+        raise np.linalg.LinAlgError("zggev failed to converge")
+
+    monkeypatch.setattr(checks, "numerical_radius", failing)
+    out_path = tmp_path / "rep.json"
+    args = ("verify", "r01", "--check", "C04", "--trials", "2")
+    code, _, _ = run_cli(capsys, *args, "--out", str(out_path))
+    assert code == 3
+    errors = json.loads(out_path.read_text())["checks"][0]["errors"]
+    assert len(errors) == 2
+    code, out, err = run_cli(capsys, *args, "--replay", str(errors[0]["seed"]))
+    assert code == 3 and out == ""
+    assert err == f"trial error: {errors[0]['reason']}\n"
+
+
 def test_verify_small_json(tmp_path, capsys):
     out_path = tmp_path / "rep.json"
     code, out, _ = run_cli(capsys, "verify", "identities", "--trials", "3",

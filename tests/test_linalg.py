@@ -18,6 +18,7 @@ from sectormeans.linalg import (
     imag_part,
     inverse,
     is_hermitian,
+    loewner_margin,
     op_norm,
     real_part,
     singular_values,
@@ -158,3 +159,11 @@ def test_singular_values_unitary_invariance(n, seed):
 def test_op_norm_matches_numpy():
     A = random_complex(6, 3)
     assert op_norm(A) == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_loewner_margin_against_zero_is_the_real_part_bound(n):
+    """The margin against a scalar zero is lambda_min(Re A) to the bit."""
+    A = random_complex(n, 40 + n)
+    assert loewner_margin(0.0, A) == np.linalg.eigvalsh(real_part(A))[0]
+    assert loewner_margin(np.zeros_like(A), A) == loewner_margin(0.0, A)

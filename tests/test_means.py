@@ -39,7 +39,8 @@ from sectormeans import (
     sector_angle,
 )
 from sectormeans.linalg import inverse
-from sectormeans.quadrature import MIN_NODES, node_count
+from sectormeans.means import _resolvent_mean
+from sectormeans.quadrature import MAX_NODES, MIN_NODES, node_count, quadrature_rule
 
 from conftest import rel_err
 
@@ -462,3 +463,49 @@ def test_sectorial_pair_mean_warns_not_raises():
         warnings.simplefilter("ignore", NonAccretiveWarning)
         out = geometric_mean(A, B, 1.9)
     assert np.all(np.isfinite(out))
+
+
+# ------------------------------------------------------------ shared rule
+
+
+def _kernel_at(P, Q, r, n_nodes):
+    """The kernel's sum c^r X (sum_j w_j ((1-s_j) Q/c + s_j P)^{-1}) Y over
+    the n-node rule, written out for one pair."""
+    size = np.abs(np.linalg.eigvals(np.linalg.solve(P, Q)))
+    c = math.sqrt(size.min() * size.max())
+    Qc = Q / c
+    rule = quadrature_rule(r, n_nodes)
+    total = sum(w * inverse((1.0 - s) * Qc + s * P) for s, w in zip(rule.nodes, rule.weights))
+    k = math.ceil(r)
+    X, Y = (P if k == 0 else Qc), (Qc if k == 2 else P)
+    return c**r * (X @ total @ Y)
+
+
+@pytest.mark.parametrize("r", [-0.6, 0.3, 1.7])
+def test_two_pair_kernel_shares_the_larger_rule(r):
+    """Two pairs in one kernel call are each the integral over the rule the
+    more demanding pair needs."""
+    A, B = gen_accretive(4, 11), gen_accretive(4, 12)
+    C = gen_pd(4, 13) @ np.diag([1.0, 3.0, 30.0, 300.0]).astype(np.complex128)
+    D = gen_accretive(4, 14)
+    pairs = [(A, B), (C, D)]
+    counts = []
+    for P, Q in pairs:
+        lam = np.linalg.eigvals(np.linalg.solve(P, Q))
+        counts.append(node_count(lam / math.sqrt(np.abs(lam).min() * np.abs(lam).max())))
+    assert counts[0] < counts[1]
+    shared = _resolvent_mean(pairs, r, MAX_NODES)
+    for (P, Q), mean in zip(pairs, shared):
+        alone = _kernel_at(P, Q, r, max(counts))
+        assert np.linalg.norm(mean - alone) <= 1e-14 * np.linalg.norm(alone)
+
+
+@pytest.mark.parametrize("r", [-0.6, 0.3, 1.7])
+def test_quad_power_ignores_memory_layout(r):
+    """Fortran-ordered and transposed inputs give the C-ordered result: the
+    pencil is built the same way for any memory layout."""
+    A, B = gen_accretive(4, 21), gen_accretive(3, 22)
+    for M in (np.asfortranarray(A), B.T):
+        assert not M.flags.c_contiguous
+        expected = principal_power_quad(np.ascontiguousarray(M), r)
+        assert rel_err(principal_power_quad(M, r), expected) <= 1e-14

@@ -17,8 +17,10 @@ from sectormeans import (
     NodeBudgetError,
     PreconditionError,
     QuadratureRule,
+    gen_accretive,
     jacobi_exponents,
     mean_order_branch,
+    principal_power,
     quadrature_rule,
     sine_prefactor,
 )
@@ -171,3 +173,27 @@ def test_rule_polynomial_exactness():
         approx = float((rule.weights * rule.nodes**k).sum())
         val, _ = quad(lambda s, k=k: s**k, 0.0, 1.0, weight="alg", wvar=(b, a))
         assert approx == pytest.approx(sine_prefactor(r) * val, abs=5e-13)
+
+
+BRANCH_ENDS = [k - 10.0**-j for k in (0, 1, 2) for j in range(3, 10)]
+
+
+@pytest.mark.parametrize("r", BRANCH_ENDS)
+def test_rule_next_to_an_integer(r):
+    """The closed-form Jacobi matrix keeps the mass at 1 as r nears 0, 1 or 2
+    from below, where a normaliser sin((b+1) pi) Gamma(a+1) Gamma(b+1) built
+    from b -> 0 loses its digits; the nodes still match scipy's."""
+    rule = quadrature_rule(r, 32)
+    assert abs(float(rule.weights.sum()) - 1.0) <= 1e-14
+    a, b = jacobi_exponents(r)
+    with np.errstate(divide="ignore", invalid="ignore"):  # scipy's k = 1 term at a + b = -1
+        x, _ = roots_jacobi(32, a, b)
+    np.testing.assert_allclose(rule.nodes, 0.5 * (x + 1.0), rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("r", BRANCH_ENDS)
+def test_power_engines_agree_next_to_an_integer(r):
+    A = gen_accretive(4, 1)
+    quad_power = principal_power(A, r, engine="quad")
+    eigen_power = principal_power(A, r, engine="eigen")
+    assert np.linalg.norm(quad_power - eigen_power) <= 1e-13 * np.linalg.norm(eigen_power)
