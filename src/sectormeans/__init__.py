@@ -28,7 +28,6 @@ from .quadrature import (
     jacobi_exponents,
     mean_order_branch,
     quadrature_rule,
-    sine_prefactor,
 )
 from .means import (
     EigenbasisConditionError,
@@ -120,7 +119,6 @@ __all__ = [
     "run_suite",
     "sample_instance",
     "sector_angle",
-    "sine_prefactor",
     "suite_ids",
     "ui_norm",
     "validate_sector_angle",

@@ -1,17 +1,25 @@
 """Unitarily invariant norms and the numerical radius.
 
 The numerical radius w(A) = max_theta f(theta), with the support function
-f(theta) = lambda_max(Re(e^{-i theta} A)), is computed on A/||A|| by
-Newton ascent on f between certificates of the level-set (criss-cross)
-iteration of Mengi and Overton, IMA J. Numer. Anal. 25 (2005), as Mitchell,
-SIAM J. Sci. Comput. 45 (2023), proposes.  From the best of 16 sampled
-angles, f is climbed to a local maximum, and its value there is the level l.
-One generalized eigenvalue solve then either certifies l (no angle attains
-it, so l is the global maximum, not a grid estimate) or returns the angles
-where l is an eigenvalue of Re(e^{-i theta} A); the climb restarts from the
-best midpoint between them.  The result is the largest support value found.
-The relative sandwich ||A||/2 <= w(A) <= ||A|| is checked after every
-computation, and a result outside it raises RadiusCertificateError.
+f(theta) = lambda_max(Re(e^{-i theta} A)), is computed on A/||A||.
+
+A Hermitian input needs no search: with A = H + iK,
+||H|| = w(H) <= w(A) <= ||A|| <= ||H|| + ||K||, so ||A|| is w(A) within
+||K||_F.  When ||A - A*||_F <= HERMITIAN_TOL * n * eps * ||A|| (K at
+rounding level), ||A|| is returned.
+
+Every other input takes Newton ascent on f between certificates of the
+level-set (criss-cross) iteration of Mengi and Overton, IMA J. Numer. Anal.
+25 (2005), as Mitchell, SIAM J. Sci. Comput. 45 (2023), proposes.  From the
+angle of the eigenvalue of largest modulus (w(A) >= rho(A), with equality
+at that angle for a normal A), f is climbed to a local maximum, and its
+value there is the level l.  One generalized eigenvalue solve then either
+certifies l (no angle attains it, so l is the global maximum, not a local
+estimate) or returns the angles where l is an eigenvalue of
+Re(e^{-i theta} A); the climb restarts from the best midpoint between them.
+The result is the largest support value found.  The relative sandwich
+||A||/2 <= w(A) <= ||A|| is checked after every such computation, and a
+result outside it raises RadiusCertificateError.
 """
 
 from __future__ import annotations
@@ -26,8 +34,8 @@ from .linalg import PreconditionError, as_matrix, lapack, op_norm, singular_valu
 __all__ = ["NORM_KINDS", "RadiusCertificateError", "ui_norm", "norm_table", "numerical_radius"]
 
 NORM_KINDS = ("operator", "frobenius", "trace", "kyfan")
-# the climb starts from the best of these
-SAMPLE_ANGLES = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+# ||A - A*||_F <= HERMITIAN_TOL * n * eps * ||A|| takes w(A) = ||A||
+HERMITIAN_TOL = 16.0
 # Newton steps per climb; near a peak each step squares the angle error
 NEWTON_STEPS = 16
 
@@ -74,7 +82,7 @@ def _support(A: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 
 
 def _ascend(A: np.ndarray, theta: float) -> float:
-    """Climb f by Newton's method from theta; returns the last angle reached.
+    """Climb f by Newton's method from theta; returns the largest f it measured.
 
     With v_j the eigenvectors of H = Re(e^{-i theta} A) for lambda_j < f and
     v the top one, K = Im(e^{-i theta} A) = dH/dtheta gives
@@ -84,25 +92,25 @@ def _ascend(A: np.ndarray, theta: float) -> float:
     """
     Ah = A.conj().T
     real, imag = 0.5 * (A + Ah), -0.5j * (A - Ah)
-    best_theta, best = theta, -math.inf
+    best = -math.inf
     for _ in range(NEWTON_STEPS):
         c, s = math.cos(theta), math.sin(theta)
         lam, V = np.linalg.eigh(c * real + s * imag)
-        value = lam[-1]
+        value = float(lam[-1])
         if value <= best:
-            return best_theta
-        best_theta, best = theta, value
+            break
+        best = value
         if len(lam) > 1 and lam[-2] >= value:
-            return theta
+            break
         slopes = V.conj().T @ ((c * imag - s * real) @ V[:, -1])
         curvature = 2.0 * float((np.abs(slopes[:-1]) ** 2 / (value - lam[:-1])).sum()) - value
         if curvature >= 0.0:
-            return theta
+            break
         step = -slopes[-1].real / curvature
         theta += step
         if abs(step) <= 1e-8:
             break
-    return theta
+    return best
 
 
 @functools.cache
@@ -127,13 +135,17 @@ def _pencil_eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def numerical_radius(A: np.ndarray) -> float:
-    """max |<Ax, x>| over unit vectors: Newton ascent certified by level sets, on A/||A||."""
+    """max |<Ax, x>| over unit vectors: ||A|| for a Hermitian A, else Newton
+    ascent certified by level sets, on A/||A||."""
     A = as_matrix(A)
     nrm = op_norm(A)
     if nrm == 0.0:
         return 0.0
     A = A / nrm
     n = A.shape[0]
+    eps = np.finfo(float).eps
+    if np.linalg.norm(A - A.conj().T) <= HERMITIAN_TOL * n * eps:
+        return nrm
     # The unimodular eigenvalues z = e^{i theta} of the pencil
     # [[0, I], [-A, 2 level I]] - z [[I, 0], [0, A*]] are the angles at which
     # `level` is an eigenvalue of Re(e^{-i theta} A).  A singular A* gives
@@ -151,12 +163,11 @@ def numerical_radius(A: np.ndarray) -> float:
     # A midpoint that beats the level by no more than the rounding of
     # eigvalsh (a few n * eps) sits on the peak just climbed: a restart from
     # it would only spend one more pencil solve to confirm the same level.
-    slack = 4.0 * n * np.finfo(float).eps
-    values = _support(A, SAMPLE_ANGLES)
-    start, level = float(SAMPLE_ANGLES[values.argmax()]), float(values.max())
+    slack = 4.0 * n * eps
+    lam = np.linalg.eigvals(A)
+    start, level = float(np.angle(lam[np.abs(lam).argmax()])), -math.inf
     while True:
-        peak = _ascend(A, start)
-        level = max(level, float(_support(A, np.array([peak]))[0]))
+        level = max(level, _ascend(A, start))
         np.fill_diagonal(pencil[n:, n:], 2.0 * level)
         z = _pencil_eigvals(pencil, weight)
         angles = np.sort(np.angle(z[np.abs(np.abs(z) - 1.0) < 1e-4]))

@@ -41,7 +41,6 @@ __all__ = [
     "QuadratureRule",
     "mean_order_branch",
     "jacobi_exponents",
-    "sine_prefactor",
     "node_count",
     "quadrature_rule",
     "require_node_count",
@@ -87,12 +86,6 @@ def jacobi_exponents(r: float) -> tuple[float, float]:
     return -1.0 - b, b
 
 
-def sine_prefactor(r: float) -> float:
-    """Normalizing constant sin((b+1) pi)/pi of the measure, b = r - ceil(r)."""
-    _, b = jacobi_exponents(r)
-    return math.sin((b + 1.0) * math.pi) / math.pi
-
-
 def require_node_count(n_nodes: int) -> int:
     """n_nodes as an int, refused unless it lies in MIN_NODES..MAX_NODES."""
     n_nodes = int(n_nodes)
@@ -127,7 +120,7 @@ def node_count(mu: np.ndarray, budget: int = MAX_NODES) -> int:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes in (0, 1) and positive weights summing to 1 for one mean order.
+    """Nodes in [0, 1] and positive weights summing to 1 for one mean order.
 
     `probes` has one row per degree k in (0, h-1, h, n-2, n-1), h = n // 2,
     of w_j p_k(x_j) / p_0 for the measure's orthonormal polynomials p_k:
@@ -136,7 +129,7 @@ class QuadratureRule:
     integral.  Row 0 is thus the weights.
 
     Construction checks the order, the shapes, the node count, that the
-    nodes increase strictly inside (0, 1), that the weights are positive
+    nodes increase strictly within [0, 1], that the weights are positive
     and that they sum to 1 within MASS_TOL, for every rule, including
     those `quadrature_rule` builds.
     """
@@ -153,8 +146,10 @@ class QuadratureRule:
             raise PreconditionError("nodes and weights must be matching 1-d arrays")
         if len(nodes) < MIN_NODES:
             raise PreconditionError(f"rule needs at least {MIN_NODES} nodes")
-        if not (nodes[0] > 0.0 and nodes[-1] < 1.0 and (nodes[1:] > nodes[:-1]).all()):
-            raise PreconditionError("nodes must be strictly increasing inside (0, 1)")
+        # within about 1e-12 of an integer r, an end node of a large rule
+        # rounds to 0 or 1; the pencil there is Q/c or P, neither singular
+        if not (nodes[0] >= 0.0 and nodes[-1] <= 1.0 and (nodes[1:] > nodes[:-1]).all()):
+            raise PreconditionError("nodes must be strictly increasing within [0, 1]")
         if not (weights > 0.0).all():
             raise PreconditionError("weights must be strictly positive")
         mass = float(weights.sum())

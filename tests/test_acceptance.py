@@ -93,19 +93,21 @@ def test_c4_full_inequality_fuzz():
     cfg = RunConfig(seed=42, trials=500, dim_min=2, dim_max=8,
                     alphas=FUZZ_ALPHAS, tol=1e-8)
     t0 = time.monotonic()
-    viol = fails = n_checks = 0
+    viol = errors = fails = n_checks = 0
     worst = 0.0
     for suite in ("r01", "r12", "rneg"):
         rep = run_suite(suite, cfg)
         viol += rep.violations
+        errors += rep.errors
         fails += rep.sampler_failures
         gated = [c for c in rep.checks if not c.informational]
         n_checks += len(gated)
         worst = min(worst, min(c.worst_margin for c in gated))
     elapsed = time.monotonic() - t0
-    verdict("c4 full-inequality-fuzz", viol == 0 and elapsed <= BUDGET_S,
-            f"{viol} violations / {fails} sampler failures over {n_checks} checks x 500 "
-            f"trials, worst margin {worst:.3e}, {elapsed:.1f} s of {BUDGET_S:.0f}")
+    verdict("c4 full-inequality-fuzz", viol == 0 and errors == 0 and elapsed <= BUDGET_S,
+            f"{viol} violations / {errors} trial errors / {fails} sampler failures over "
+            f"{n_checks} checks x 500 trials, worst margin {worst:.3e}, "
+            f"{elapsed:.1f} s of {BUDGET_S:.0f}")
 
 
 def test_c5_pd_sharpness():

@@ -112,6 +112,8 @@ def _closed_forms():
         # five equal peaks
         "roots_of_unity": (np.diag(np.exp(2j * math.pi * np.arange(5) / 5)), 1.0),
         "zero": (np.zeros((3, 3)), 0.0),
+        # Hermitian, eigenvalues (-1 +- sqrt(29)) / 2: w = ||A||, no search
+        "hermitian": (np.array([[2.0, 1.0j], [-1.0j, -3.0]]), (1.0 + math.sqrt(29.0)) / 2.0),
         "scalar": (np.array([[3.0 - 4.0j]]), 5.0),
     }
 
@@ -124,14 +126,15 @@ def test_radius_closed_forms(name, scale):
 
 
 def test_radius_sandwich_escape_is_typed(monkeypatch, tmp_path, capsys):
-    # a support function that reads a quarter of the truth puts w below ||A||/2
-    true_support = norms._support
-    monkeypatch.setattr(norms, "_support", lambda A, thetas: 0.25 * true_support(A, thetas))
-    H = gen_pd(4, 12)
+    # a climb that reads four times the truth sets a level above every angle's
+    # support, so the pencil finds no crossing and w lands above ||A||
+    ascend = norms._ascend
+    monkeypatch.setattr(norms, "_ascend", lambda A, theta: 4.0 * ascend(A, theta))
+    A = gen_sectorial(4, 0.8, 12).matrix
     with pytest.raises(norms.RadiusCertificateError):
-        numerical_radius(H)
-    path = tmp_path / "h.json"
-    path.write_text(dumps_matrix(H) + "\n")
+        numerical_radius(A)
+    path = tmp_path / "a.json"
+    path.write_text(dumps_matrix(A) + "\n")
     code = main(["compute", "wradius", str(path)])
     err = capsys.readouterr().err
     assert code != 0
@@ -139,23 +142,70 @@ def test_radius_sandwich_escape_is_typed(monkeypatch, tmp_path, capsys):
     assert "Traceback" not in err and "sandwich" in err
 
 
-def test_radius_mostly_one_pencil_solve(monkeypatch):
-    # the Newton climb reaches the peak, so one solve usually certifies it
-    rng = np.random.default_rng(8)
-    inputs = []
-    for seed in range(60):
-        n = 2 + seed % 7
-        alpha = float(rng.uniform(0.1, 1.4))
-        B = np.linalg.inv(gen_sectorial(n, alpha, 300 + seed).matrix)
-        inputs += [gen_sectorial(n, alpha, seed).matrix, gen_pd(n, seed), B @ B]
+def _count_solves(monkeypatch):
     solves = []
     solve = norms._pencil_eigvals
     monkeypatch.setattr(norms, "_pencil_eigvals",
                         lambda *args: solves.append(1) or solve(*args))
-    for A in inputs:
+    return solves
+
+
+def test_radius_mostly_one_pencil_solve(monkeypatch):
+    # a Hermitian input returns ||A|| with no solve; otherwise the Newton
+    # climb reaches the peak, so one solve usually certifies it
+    rng = np.random.default_rng(8)
+    hermitian, general = [], []
+    for seed in range(60):
+        n = 2 + seed % 7
+        alpha = float(rng.uniform(0.1, 1.4))
+        B = np.linalg.inv(gen_sectorial(n, alpha, 300 + seed).matrix)
+        general += [gen_sectorial(n, alpha, seed).matrix, B @ B]
+        hermitian.append(gen_pd(n, seed))
+    solves = _count_solves(monkeypatch)
+    for A in hermitian:
+        numerical_radius(A)
+    assert len(solves) == 0
+    for A in general:
         numerical_radius(A)
     # every call certifies its level with at least one solve
-    assert 1.0 <= len(solves) / len(inputs) <= 1.5
+    assert 1.0 <= len(solves) / len(general) <= 1.5
+
+
+def _near_hermitian(times_threshold, n=5, seed=40):
+    # H + i e K with ||A - A*||_F = 2 e ||K||_F set to a multiple of the
+    # shortcut's documented threshold 16 * n * eps * ||A||
+    rng = np.random.default_rng(seed)
+    G, F = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2))
+    H, K = G + G.conj().T, F + F.conj().T
+    bound = 16.0 * n * np.finfo(float).eps * op_norm(H)
+    return H + 1j * (times_threshold * bound / (2.0 * np.linalg.norm(K))) * K
+
+
+def _shortcut_inputs():
+    B_inv = np.linalg.inv(gen_pd(5, 41))
+    return {
+        "pd": (gen_pd(5, 40), True),
+        "inverse_square": (B_inv @ B_inv, True),
+        "just_below": (_near_hermitian(0.9), True),
+        "just_above": (_near_hermitian(1.1), False),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_shortcut_inputs()))
+def test_radius_hermitian_shortcut(monkeypatch, name):
+    # below the threshold ||A|| is returned with no pencil solve; that value
+    # and the full certificate's are both within ||Im A||_F of w(A)
+    A, below = _shortcut_inputs()[name]
+    solves = _count_solves(monkeypatch)
+    w = numerical_radius(A)
+    assert (len(solves) == 0) if below else (len(solves) >= 1)
+    monkeypatch.setattr(norms, "HERMITIAN_TOL", -1.0)
+    full = numerical_radius(A)
+    assert len(solves) >= 1
+    imag = 0.5 * np.linalg.norm(A - A.conj().T)
+    rounding = 4.0 * len(A) * np.finfo(float).eps * full
+    assert abs(w - full) <= imag + rounding
+    assert abs(op_norm(A) - full) <= imag + rounding
 
 
 def _ellipse(a, b, phi):
@@ -165,21 +215,24 @@ def _ellipse(a, b, phi):
 
 
 def test_radius_restarts_from_the_lower_basin(monkeypatch):
-    # the higher peak, sqrt(1.01), lies between two sampled angles and the
-    # lower one, sqrt(0.9901), on a sampled angle, so the first climb starts
-    # in the lower basin and only a restart finds the global maximum
-    high, low = _ellipse(1.0, 0.2, math.pi / 16), _ellipse(0.99, 0.2, math.pi / 2)
-    A = scipy.linalg.block_diag(high, low)
-    starts = []
+    # the climb starts at the angle of the eigenvalue of largest modulus, here
+    # the scalar block 1.002 e^{i psi}: a peak of height 1.002.  The ellipse
+    # has the smaller eigenvalues +-e^{i pi/16} but the higher peak, sqrt(1.01)
+    # at pi/16, so only a restart finds the global maximum
+    psi = math.pi / 2 + 0.1
+    A = scipy.linalg.block_diag(_ellipse(1.0, 0.2, math.pi / 16), [[1.002 * np.exp(1j * psi)]])
+    starts, peaks = [], []
     ascend = norms._ascend
 
     def recorded(A, theta):
         starts.append(theta)
-        return ascend(A, theta)
+        peaks.append(ascend(A, theta))
+        return peaks[-1]
 
     monkeypatch.setattr(norms, "_ascend", recorded)
     assert numerical_radius(A) == pytest.approx(math.sqrt(1.01), rel=1e-12, abs=0.0)
-    assert math.cos(starts[0] - math.pi / 2) ** 2 == pytest.approx(1.0)
+    assert starts[0] == pytest.approx(psi, rel=1e-14)
+    assert peaks[0] == pytest.approx(1.002 / op_norm(A), rel=1e-12)
     assert len(starts) >= 2
     assert math.cos(starts[1] - math.pi / 16) ** 2 > 0.99
 

@@ -6,28 +6,37 @@ low moments.  The closed forms of the first moments (r-1, r+1, r by branch)
 follow from the Beta-function reflection and are asserted exactly.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import roots_jacobi
+from scipy.special import beta, roots_jacobi
 
 from sectormeans import (
     NodeBudgetError,
     PreconditionError,
     QuadratureRule,
     gen_accretive,
+    gen_unitary,
     jacobi_exponents,
     mean_order_branch,
     principal_power,
     quadrature_rule,
-    sine_prefactor,
 )
 from sectormeans.quadrature import MAX_NODES, MIN_NODES, node_count, truncation_estimate
 
 BRANCH_SAMPLES = [(-0.7, "rneg"), (-0.2, "rneg"), (0.3, "r01"), (0.5, "r01"),
                   (0.9, "r01"), (1.2, "r12"), (1.5, "r12"), (1.8, "r12")]
+
+
+def sine_prefactor(r):
+    """sin((b+1) pi)/pi, which turns the oracles' weight s^b (1-s)^a into
+    the branch measure of mass 1 (b = r - ceil(r), a = -1 - b)."""
+    _, b = jacobi_exponents(r)
+    return math.sin((b + 1.0) * math.pi) / math.pi
 
 
 @pytest.mark.parametrize("r,branch", BRANCH_SAMPLES)
@@ -53,7 +62,10 @@ def test_jacobi_exponents_in_range(r, branch):
 
 @pytest.mark.parametrize("r,_", BRANCH_SAMPLES)
 def test_prefactor_positive(r, _):
+    # the oracles' normaliser is 1 / B(b+1, a+1), by the reflection identity
+    a, b = jacobi_exponents(r)
     assert sine_prefactor(r) > 0.0
+    assert sine_prefactor(r) == pytest.approx(1.0 / beta(b + 1.0, a + 1.0), rel=1e-13)
 
 
 @given(st.floats(min_value=-0.95, max_value=1.95).filter(
@@ -194,6 +206,32 @@ def test_rule_next_to_an_integer(r):
 @pytest.mark.parametrize("r", BRANCH_ENDS)
 def test_power_engines_agree_next_to_an_integer(r):
     A = gen_accretive(4, 1)
+    quad_power = principal_power(A, r, engine="quad")
+    eigen_power = principal_power(A, r, engine="eigen")
+    assert np.linalg.norm(quad_power - eigen_power) <= 1e-13 * np.linalg.norm(eigen_power)
+
+
+NEAR_INTEGERS = [k - 1e-12 for k in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("n_nodes", [128, 256, 1024])
+@pytest.mark.parametrize("r", NEAR_INTEGERS)
+def test_large_rule_within_1e12_of_an_integer(r, n_nodes):
+    """The last node rounds to 1.0 at these r; the rule still builds."""
+    rule = quadrature_rule(r, n_nodes)
+    assert abs(float(rule.weights.sum()) - 1.0) <= 1e-12
+    assert 0.0 < rule.nodes[0] and rule.nodes[-1] <= 1.0 and (np.diff(rule.nodes) > 0.0).all()
+
+
+@pytest.mark.parametrize("r", NEAR_INTEGERS)
+def test_power_engines_agree_within_1e12_of_an_integer(r):
+    # a normal matrix with |lambda| over [1, 2e4] needs 133 nodes, a count
+    # whose last node rounds to 1.0 at each of these r
+    n, kappa = 6, 2e4
+    U = gen_unitary(n, 3)
+    lam = np.logspace(0.0, math.log10(kappa), n) * np.exp(1j * np.linspace(-1.2, 1.2, n))
+    A = (U * lam) @ U.conj().T
+    assert node_count(lam / math.sqrt(kappa)) == 133
     quad_power = principal_power(A, r, engine="quad")
     eigen_power = principal_power(A, r, engine="eigen")
     assert np.linalg.norm(quad_power - eigen_power) <= 1e-13 * np.linalg.norm(eigen_power)
