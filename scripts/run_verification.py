@@ -46,18 +46,20 @@ def main(argv=None):
     out_dir = pathlib.Path(args.out_dir) / f"verify-{stamp}-seed{args.seed}"
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # as in `sectormeans verify`: the identity checks leave the accretive
-    # cone by design, so the warning carries no information here
-    warnings.filterwarnings("ignore", category=NonAccretiveWarning)
     status = 0
     summaries = {}
-    for suite in SUITES:
-        report = run_suite(suite, config)
-        print_report(report)
-        for fmt in ("json", "csv"):
-            write_report(report, fmt, str(out_dir / f"{suite}.{fmt}"))
-        summaries[suite] = report.to_dict()["summary"]
-        status = max(status, 0 if report.passed else 3)
+    # as in `sectormeans verify`: the identity checks leave the accretive
+    # cone by design, so the warning carries no information here; the
+    # caller's warning filters are left as they were
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", category=NonAccretiveWarning)
+        for suite in SUITES:
+            report = run_suite(suite, config)
+            print_report(report)
+            for fmt in ("json", "csv"):
+                write_report(report, fmt, str(out_dir / f"{suite}.{fmt}"))
+            summaries[suite] = report.to_dict()["summary"]
+            status = max(status, 0 if report.passed else 3)
 
     (out_dir / "summary.json").write_text(json.dumps(summaries, indent=2) + "\n")
     total_viol = sum(s["violations"] for s in summaries.values())

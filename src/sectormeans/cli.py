@@ -6,19 +6,22 @@ Two command families:
   sectormeans verify {all,r01,r12,rneg,identities} ...
 
 Exit codes: 0 success, 1 usage error, 2 precondition failure (bad input
-matrix, hypothesis violation, or a result that fails its certificate, such
-as a numerical radius outside ||A||/2 <= w <= ||A||), 3 verification
-failure (a check reported violations, or a trial raised an error, such as
-needing more quadrature nodes than the budget; a replayed trial that raises
-an error other than a precondition failure, such as a LAPACK failure,
-exits 3 too).
+matrix, a report path that cannot be written, hypothesis violation, or a
+result that fails its certificate, such as a numerical radius outside
+||A||/2 <= w <= ||A||), 3 verification failure (a check reported
+violations, or a trial raised an error, such as needing more quadrature
+nodes than the budget; a replayed trial that raises an error other than a
+precondition failure, such as a LAPACK failure, exits 3 too).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
+import functools
 import json
+import os
 import re
 import sys
 import warnings
@@ -60,7 +63,10 @@ def parse_dims(text: str) -> tuple[int, int]:
     raise argparse.ArgumentTypeError(f"expected A..B (e.g. 2..8), got {text!r}")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built on the first call and shared by every later
+    `main` call in the process; parsing keeps no state on it."""
     parser = _Parser(prog="sectormeans", description=__doc__.splitlines()[0])
     run = RunConfig()
     sub = parser.add_subparsers(dest="command", required=True)
@@ -141,6 +147,21 @@ def _cmd_compute(ns: argparse.Namespace) -> int:
     raise UsageError(f"unknown compute op {ns.op!r}")
 
 
+def _check_writable(path: str) -> None:
+    """Refuse a report path that is a directory, or whose directory is missing
+    or not writable, so a run does not end in a report it cannot write."""
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOENT
+    elif not os.access(parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise PreconditionError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def write_report(report: SuiteReport, fmt: str, path: str) -> None:
     """Write a suite report as JSON or as the documented CSV columns."""
     if fmt == "json":
@@ -219,10 +240,14 @@ def _run_verify(ns: argparse.Namespace) -> int:
         print(json.dumps(result, indent=2))
         return 3 if result["violated"] else 0
 
+    out_path = ns.out or f"verify_report.{ns.format}"
+    _check_writable(out_path)
     report = run_suite(ns.suite, config, check_id=ns.check)
     print_report(report)
-    out_path = ns.out or f"verify_report.{ns.format}"
-    write_report(report, ns.format, out_path)
+    try:
+        write_report(report, ns.format, out_path)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {out_path}: {exc.strerror or exc}") from None
     print(f"report written to {out_path}")
     return 0 if report.passed else 3
 

@@ -103,6 +103,8 @@ def parse_matrix(path: Union[str, os.PathLike]) -> np.ndarray:
             text = fh.read()
     except OSError as exc:
         raise MatrixFormatError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     try:
         return loads_matrix(text)
     except MatrixFormatError as exc:

@@ -22,7 +22,7 @@ from sectormeans import (
     loads_matrix,
     ui_norm,
 )
-from sectormeans import checks
+from sectormeans import checks, cli
 from sectormeans.cli import CSV_HEADER, main
 from sectormeans.norms import RadiusCertificateError
 from sectormeans.quadrature import MAX_NODES
@@ -205,12 +205,108 @@ def test_compute_power_of_a_jordan_block(tmp_path, capsys):
 
 
 def test_compute_missing_file(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "compute", "sector", str(tmp_path / "void.json"))
-    assert code == 2
-    assert "void.json" in err
+    """A file that cannot be read, or is not UTF-8, exits 2 with one line."""
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe")
+    for name in ("void.json", "utf16.json"):
+        code, _, err = run_cli(capsys, "compute", "sector", str(tmp_path / name))
+        assert code == 2
+        assert name in err and len(err.splitlines()) == 1
+
+
+# -------------------------------------------------------------------- main
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    """One parser tree per process, of 8 parsers (root, compute, its 5 ops
+    and verify), however many calls `main` takes."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    path = put(tmp_path, "a.json", np.diag([1.0, 4.0]))
+    for argv in (("compute", "norm", path), ("compute", "sector", path),
+                 ("compute", "power", path, "--r", "0.5"), ("verify", "r12", "--check", "C77")):
+        run_cli(capsys, *argv)
+    assert built.count("sectormeans") == 1
+    assert len(built) == 8
+
+
+def test_main_carries_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    """An option given to one call is back at its default in the next."""
+    engines, overrides = [], []
+    power, run_suite = cli.principal_power, cli.run_suite
+
+    def recording_power(A, r, engine):
+        engines.append(engine)
+        return power(A, r, engine=engine)
+
+    def recording_suite(suite, config, check_id):
+        overrides.append(config.r_override)
+        return run_suite(suite, config, check_id=check_id)
+
+    monkeypatch.setattr(cli, "principal_power", recording_power)
+    monkeypatch.setattr(cli, "run_suite", recording_suite)
+    path = put(tmp_path, "a.json", np.diag([1.0, 4.0]))
+    assert run_cli(capsys, "compute", "power", path, "--r", "0.5", "--engine", "eigen")[0] == 0
+    assert run_cli(capsys, "compute", "power", path, "--r", "0.5")[0] == 0
+    assert engines == ["eigen", "quad"]
+    args = ("verify", "r01", "--check", "C02", "--trials", "1", "--dims", "2..2",
+            "--out", str(tmp_path / "rep.json"))
+    assert run_cli(capsys, *args, "--r", "0.5")[0] == 0
+    assert run_cli(capsys, *args)[0] == 0
+    assert overrides == [0.5, None]
+
+
+def test_main_recovers_from_usage_errors_and_help(tmp_path, capsys):
+    """After a usage error or --help, a valid call prints what it prints as
+    the first call of a process."""
+    cli.build_parser.cache_clear()
+    path = put(tmp_path, "a.json", [[2.0, 1.0 + 0.5j], [0.2j, 3.0]])
+    argv = ("compute", "power", path, "--r", "0.5")
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0 and first[1]
+    assert run_cli(capsys, "compute", "power", path, "--engine", "eigen")[0] == 1
+    assert run_cli(capsys, *argv) == first
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "power", "--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    assert run_cli(capsys, *argv) == first
 
 
 # ------------------------------------------------------------------ verify
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_verify_refuses_an_unwritable_out_before_any_trial(tmp_path, capsys, monkeypatch, where):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_suite called")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    path, reason = {
+        "missing-dir": (tmp_path / "void" / "r.json", "No such file or directory"),
+        "directory": (tmp_path, "Is a directory"),
+    }[where]
+    code, out, err = run_cli(capsys, "verify", "r01", "--check", "C02", "--trials", "2",
+                             "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == f"precondition failed: cannot write {path}: {reason}\n"
+
+
+def test_verify_report_write_error_is_one_line(tmp_path, capsys):
+    """A path that passes the directory checks but cannot be opened (here a
+    file name past NAME_MAX) exits 2 with one line after the run."""
+    path = tmp_path / ("r" * 300 + ".json")
+    code, out, err = run_cli(capsys, "verify", "r01", "--check", "C02", "--trials", "2",
+                             "--dims", "2..3", "--out", str(path))
+    assert code == 2 and "PASS" in out
+    assert err.startswith(f"precondition failed: cannot write {path}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_records_budget_refusals(tmp_path, capsys):

@@ -109,3 +109,10 @@ def test_file_round_trip(tmp_path):
 def test_parse_missing_file(tmp_path):
     with pytest.raises(MatrixFormatError, match="nope.json"):
         parse_matrix(tmp_path / "nope.json")
+
+
+def test_parse_non_utf8_file(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(MatrixFormatError, match=r"utf16\.json: not UTF-8 text: invalid start byte at byte 0"):
+        parse_matrix(path)

@@ -225,6 +225,36 @@ def test_power_quad_refuses_near_the_cut():
         warnings.simplefilter("ignore", NonAccretiveWarning)
         with pytest.raises(NodeBudgetError):
             principal_power_quad(A, 0.5)
+        # the eigen engine reaches 1e-13 * rho of the cut: the principal root
+        out = principal_power_eigen(A, 0.5)
+    np.testing.assert_allclose(out, np.diag([5e-11 + 1j, math.sqrt(2.0)]), rtol=1e-12, atol=0)
+
+
+def near_cut_power(theta):
+    """diag(e^{i theta}, 2) and its principal square root to 30 digits, taken
+    entrywise: mpmath's matrix sqrtm leaves the principal branch at 3.1."""
+    mp = pytest.importorskip("mpmath").mp
+    d = np.array([np.exp(1j * theta), 2.0])
+    with mp.workdps(30):
+        root = [complex(mp.mpc(z) ** mp.mpf(0.5)) for z in d]
+    return np.diag(d), np.diag(root)
+
+
+@pytest.mark.parametrize("theta", [3.0, 3.1])
+def test_power_engines_near_the_cut(theta):
+    """Both engines hold 1e-13 up to about 0.04 rad from the cut."""
+    A, expect = near_cut_power(theta)
+    assert rel_err(principal_power_eigen(A, 0.5), expect) <= 1e-13
+    assert rel_err(principal_power_quad(A, 0.5), expect) <= 1e-13
+
+
+def test_power_quad_budget_ends_before_the_eigen_domain():
+    """At theta = 3.12 the rule needs 1732 nodes, past the 1024 budget: quad
+    refuses, and the eigen engine still returns the principal root."""
+    A, expect = near_cut_power(3.12)
+    with pytest.raises(NodeBudgetError, match="1732"):
+        principal_power_quad(A, 0.5)
+    assert rel_err(principal_power_eigen(A, 0.5), expect) <= 1e-13
 
 
 def test_power_inverse_relation():

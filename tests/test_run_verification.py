@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import pathlib
+import warnings
 
 from sectormeans import RunConfig
 
@@ -37,3 +38,11 @@ def test_json_and_csv_agree(tmp_path, capsys):
 def test_defaults_follow_run_config():
     _, config = load_script().parse_args([])
     assert config == RunConfig()
+
+
+def test_main_leaves_warning_filters_alone(tmp_path, capsys):
+    with warnings.catch_warnings():
+        # start from no filters at all, so any filter that main adds shows
+        warnings.resetwarnings()
+        load_script().main(["--trials", "1", "--dims", "2..2", "--out-dir", str(tmp_path)])
+        assert warnings.filters == []
