@@ -44,7 +44,11 @@ def main(argv=None):
     args, config = parse_args(argv)
     stamp = time.strftime("%Y%m%d-%H%M%S")
     out_dir = pathlib.Path(args.out_dir) / f"verify-{stamp}-seed{args.seed}"
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"precondition failed: cannot write {out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
     status = 0
     summaries = {}

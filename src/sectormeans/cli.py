@@ -6,12 +6,12 @@ Two command families:
   sectormeans verify {all,r01,r12,rneg,identities} ...
 
 Exit codes: 0 success, 1 usage error, 2 precondition failure (bad input
-matrix, a report path that cannot be written, hypothesis violation, or a
-result that fails its certificate, such as a numerical radius outside
-||A||/2 <= w <= ||A||), 3 verification failure (a check reported
-violations, or a trial raised an error, such as needing more quadrature
-nodes than the budget; a replayed trial that raises an error other than a
-precondition failure, such as a LAPACK failure, exits 3 too).
+matrix, a report path that cannot be written, an --r outside a check's
+intervals, hypothesis violation, or a result that fails its certificate,
+such as a numerical radius outside ||A||/2 <= w <= ||A||), 3 verification
+failure (a check reported violations, or a trial raised an error, such as
+needing more quadrature nodes than the budget).  A replayed trial exits as
+its run did: 3 when it was violated or raised an error.
 """
 
 from __future__ import annotations
@@ -229,13 +229,9 @@ def _run_verify(ns: argparse.Namespace) -> int:
     if ns.replay is not None:
         if ns.check is None:
             raise UsageError("--replay requires --check to name the catalog entry")
-        try:
-            result = replay_trial(ns.check, ns.replay, config)
-        except PreconditionError:
-            raise
-        except Exception as exc:
-            # the run records this trial under `errors`; the replay reports it alike
-            print(f"trial error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        result = replay_trial(ns.check, ns.replay, config)
+        if "reason" in result:
+            print(f"trial error: {result['reason']}", file=sys.stderr)
             return 3
         print(json.dumps(result, indent=2))
         return 3 if result["violated"] else 0

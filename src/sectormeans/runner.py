@@ -1,22 +1,17 @@
 """Randomized verification driver.
 
 Every trial is reproducible from (master seed, check id, trial index,
-attempt index) through a SHA-256 seed derivation, so a reported worst seed
-can be replayed in isolation.  Sampled instances meet their hypotheses by
-construction (a sectorial draw carries its angle in closed form), so a
-redraw comes only from the three numerical refusals of an evaluation: an
-eigenvector basis too ill-conditioned, a spectrum on the principal-branch
-cut, or an inversion below the rcond floor.  Such a trial is redrawn up to
-MAX_RETRIES times; chronic failure is reported per check, never hidden.
-
-Every quadrature route sizes its own rule from the spectrum it integrates
-over and checks its truncation error, within the node budget
-`RunConfig.nodes`, so each trial is evaluated once and its margin counts as
-it stands.  Any other exception a trial raises (NodeBudgetError past the
-budget, RadiusCertificateError, a LAPACK failure) is not a bad draw: it is
-never retried, and the trial is recorded under the check's `errors` with
-its seed and reason while the suite runs on.  A suite with errors does not
-pass.
+attempt index 0) through a SHA-256 seed derivation, so a reported seed can
+be replayed in isolation.  Sampled instances meet their hypotheses by
+construction (a sectorial draw carries its angle in closed form), and every
+quadrature route sizes its own rule within the node budget
+`RunConfig.nodes`, so each trial is evaluated once and has one outcome:
+its margins, or the exception it raised (NodeBudgetError past the budget,
+RadiusCertificateError, an ill-conditioned eigenbasis, a LAPACK failure).
+An exception is never redrawn: the trial is recorded under the check's
+`errors` with its seed and reason while the suite runs on, and a suite with
+errors does not pass.  A run and a replay go through the same per-trial
+function, so a replayed seed ends as its trial did.
 """
 
 from __future__ import annotations
@@ -36,9 +31,8 @@ from .checks import (
     check_by_id,
     suite_checks,
 )
-from .linalg import PreconditionError, SingularMatrixError
+from .linalg import PreconditionError
 from .maps import MAP_KINDS, random_map
-from .means import EigenbasisConditionError, PrincipalBranchError
 from .norms import NORM_KINDS
 from .quadrature import MAX_NODES, require_node_count
 from .sectors import (
@@ -57,13 +51,9 @@ __all__ = [
     "run_check",
     "run_suite",
     "replay_trial",
-    "MAX_RETRIES",
 ]
 
-MAX_RETRIES = 10
 R_EDGE_GAP = 0.05  # sampled r stays this far inside each open interval
-
-_RETRYABLE = (EigenbasisConditionError, PrincipalBranchError, SingularMatrixError)
 
 
 @dataclass(frozen=True)
@@ -103,11 +93,10 @@ class CheckResult:
     worst_seed: Optional[int]
     worst_trial: Optional[int]
     worst_margin_strict: Optional[float]
-    sampler_failures: int
+    sampler_failures: int  # always 0: no trial is redrawn; kept for report readers
     informational: bool
     runtime_s: float
-    # trials that raised anything but a redrawable refusal:
-    # {"trial", "seed", "reason"} each
+    # trials that raised: {"trial", "seed", "reason"} each
     errors: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -242,30 +231,26 @@ def _run_one_trial(
     trial: int,
     flip: bool,
 ) -> dict:
-    ctx = EvalContext(nodes=config.nodes)
-    last_reason = "no attempt made"
-    for attempt in range(MAX_RETRIES + 1):
-        seed = derive_seed(master_seed, check.id, trial, attempt)
-        try:
-            inst = sample_instance(check, config, seed, trial)
-            ev = check.evaluate(inst, ctx, flip)
-        except _RETRYABLE as exc:
-            last_reason = f"{type(exc).__name__}: {exc}"
-            continue
-        except Exception as exc:
-            # not a bad draw: record it, never redraw; --replay of its seed re-raises it
-            return {"trial": trial, "seed": seed, "failed": True, "error": f"{type(exc).__name__}: {exc}"}
-        return {
-            "trial": trial,
-            "seed": seed,
-            "attempt": attempt,
-            "margin": ev.margin,
-            "scale": ev.scale,
-            "margin_strict": ev.margin_strict,
-            "violated": _violated(ev, config.tol),
-            "failed": False,
-        }
-    return {"trial": trial, "failed": True, "reason": last_reason}
+    """Evaluate one trial once: its instance and margins, or its error as
+    {"trial", "seed", "reason"}.  A run and a replay share this record."""
+    seed = derive_seed(master_seed, check.id, trial, 0)
+    try:
+        inst = sample_instance(check, config, seed, trial)
+        ev = check.evaluate(inst, EvalContext(nodes=config.nodes), flip)
+    except Exception as exc:
+        return {"trial": trial, "seed": seed, "reason": f"{type(exc).__name__}: {exc}"}
+    return {
+        "trial": trial,
+        "seed": seed,
+        "dim": inst.dim,
+        "r": inst.r,
+        "alpha": inst.alpha,
+        "alpha_realized": inst.alpha_realized,
+        "margin": ev.margin,
+        "scale": ev.scale,
+        "margin_strict": ev.margin_strict,
+        "violated": _violated(ev, config.tol),
+    }
 
 
 def _require_r_override(check: Check, config: RunConfig) -> None:
@@ -304,13 +289,8 @@ def run_check(
     records = [_run_one_trial(check, config, seed, t, flip) for t in range(config.trials)]
     runtime = time.perf_counter() - start
 
-    completed = [rec for rec in records if not rec["failed"]]
-    errors = [
-        {"trial": rec["trial"], "seed": rec["seed"], "reason": rec["error"]}
-        for rec in records
-        if "error" in rec
-    ]
-    failures = len(records) - len(completed) - len(errors)
+    errors = [rec for rec in records if "reason" in rec]
+    completed = [rec for rec in records if "reason" not in rec]
     violations = sum(1 for rec in completed if rec["violated"])
 
     def margin_key(rec: dict) -> float:
@@ -330,7 +310,7 @@ def run_check(
         worst_seed=None if worst is None else worst["seed"],
         worst_trial=None if worst is None else worst["trial"],
         worst_margin_strict=min(strict_values) if strict_values else None,
-        sampler_failures=failures,
+        sampler_failures=0,
         informational=check.informational,
         runtime_s=runtime,
         errors=errors,
@@ -349,6 +329,8 @@ def run_suite(
         selected = [c for c in selected if c.id == check_id]
         if not selected:
             raise PreconditionError(f"check {check_id!r} is not part of suite {suite!r}")
+    for check in selected:  # refuse a bad --r before the first trial, not at its check
+        _require_r_override(check, config)
     report = SuiteReport(suite=suite, seed=config.seed, config=config)
     start = time.perf_counter()
     for check in selected:
@@ -358,41 +340,22 @@ def run_suite(
 
 
 def replay_trial(check_id: str, seed: int, config: RunConfig) -> dict:
-    """Re-evaluate the single trial that produced a reported worst seed.
+    """Re-evaluate the single trial behind a reported seed.
 
-    The trial and attempt indices are recovered by scanning the derivation
-    space of the given master configuration, so the replay sees exactly the
-    r-interval and map/norm rotation the original trial saw.
+    The trial index is recovered from the master configuration, so the
+    replay sees exactly the r-interval and map/norm rotation the trial saw.
+    Returns the run's own record of that trial plus "check": its margins,
+    or the "reason" of the error it raised.
     """
     check = check_by_id(check_id)
     _require_r_override(check, config)
-    position = None
-    for trial in range(config.trials):
-        for attempt in range(MAX_RETRIES + 1):
-            if derive_seed(config.seed, check.id, trial, attempt) == seed:
-                position = (trial, attempt)
-                break
-        if position is not None:
-            break
-    if position is None:
+    trial = next(
+        (t for t in range(config.trials) if derive_seed(config.seed, check.id, t, 0) == seed),
+        None,
+    )
+    if trial is None:
         raise PreconditionError(
             f"seed {seed} was not derived from master seed {config.seed} for check "
             f"{check_id} within {config.trials} trials; pass the original --seed/--trials"
         )
-    trial, attempt = position
-    inst = sample_instance(check, config, seed, trial)
-    ev = check.evaluate(inst, EvalContext(nodes=config.nodes), False)
-    return {
-        "check": check.id,
-        "seed": seed,
-        "trial": trial,
-        "attempt": attempt,
-        "dim": inst.dim,
-        "r": inst.r,
-        "alpha": inst.alpha,
-        "alpha_realized": inst.alpha_realized,
-        "margin": ev.margin,
-        "scale": ev.scale,
-        "margin_strict": ev.margin_strict,
-        "violated": _violated(ev, config.tol),
-    }
+    return {"check": check.id, **_run_one_trial(check, config, config.seed, trial, False)}

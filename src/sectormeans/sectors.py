@@ -116,9 +116,9 @@ def in_sector(A: np.ndarray, alpha: float) -> bool:
 def derive_seed(*parts) -> int:
     """Stable 64-bit seed derived from a tuple of ints/strings.
 
-    Counter-based: extending the part tuple (trial index, retry attempt)
-    yields statistically independent streams, reproducible across runs and
-    platforms.
+    Counter-based: extending the part tuple (the runner passes a trial index
+    and an attempt index, always 0) yields statistically independent
+    streams, reproducible across runs and platforms.
     """
     digest = hashlib.sha256("|".join(str(p) for p in parts).encode()).digest()
     return int.from_bytes(digest[:8], "little")

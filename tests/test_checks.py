@@ -12,11 +12,15 @@ import numpy as np
 import pytest
 
 from sectormeans import (
+    EigenbasisConditionError,
     EvalContext,
     PreconditionError,
+    PrincipalBranchError,
     RunConfig,
+    SingularMatrixError,
     catalog,
     check_by_id,
+    derive_seed,
     informational_catalog,
     replay_trial,
     run_check,
@@ -24,7 +28,7 @@ from sectormeans import (
     sample_instance,
     suite_ids,
 )
-from sectormeans import checks, linalg, means
+from sectormeans import checks, linalg, means, runner
 from sectormeans.checks import SUITE_NAMES, _branch_cos_exponent
 from sectormeans.quadrature import MAX_NODES, MIN_NODES
 from sectormeans.runner import _sample_r
@@ -287,6 +291,36 @@ def test_budget_refusals_are_recorded_per_trial():
     rep = run_suite("r12", cfg, check_id="C09")
     assert rep.errors == 4 and not rep.passed
     assert rep.to_dict()["checks"][0]["errors"] == res.errors
+
+
+@pytest.mark.parametrize(
+    "refusal", [EigenbasisConditionError, PrincipalBranchError, SingularMatrixError]
+)
+def test_numerical_refusals_are_trial_errors(refusal, monkeypatch):
+    """An ill-conditioned eigenbasis, a spectrum on the branch cut and a
+    singular inversion are trial errors like any other: each trial is
+    evaluated once, and a replay of its seed returns the same reason."""
+    calls = []
+
+    def raising(inst, ctx, flip):
+        calls.append(inst.trial)
+        raise refusal("refused")
+
+    check = dataclasses.replace(check_by_id("C09"), evaluate=raising)
+    monkeypatch.setattr(runner, "suite_checks", lambda suite: [check])
+    monkeypatch.setattr(runner, "check_by_id", lambda check_id: check)
+    cfg = small_config(trials=3)
+    rep = run_suite("r12", cfg)
+    assert calls == [0, 1, 2]
+    (res,) = rep.checks
+    reason = f"{refusal.__name__}: refused"
+    assert res.errors == [
+        {"trial": t, "seed": derive_seed(cfg.seed, "C09", t, 0), "reason": reason} for t in range(3)
+    ]
+    assert res.sampler_failures == 0 and res.worst_margin is None
+    assert rep.errors == 3 and not rep.passed
+    replayed = replay_trial("C09", res.errors[0]["seed"], cfg)
+    assert replayed == {"check": "C09", **res.errors[0]}
 
 
 def test_eval_context_immutable():

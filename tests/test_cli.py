@@ -15,6 +15,7 @@ import pytest
 
 from sectormeans import (
     NonAccretiveWarning,
+    PreconditionError,
     derive_seed,
     dumps_matrix,
     gen_accretive,
@@ -22,7 +23,7 @@ from sectormeans import (
     loads_matrix,
     ui_norm,
 )
-from sectormeans import checks, cli
+from sectormeans import checks, cli, runner
 from sectormeans.cli import CSV_HEADER, main
 from sectormeans.norms import RadiusCertificateError
 from sectormeans.quadrature import MAX_NODES
@@ -323,8 +324,8 @@ def test_verify_records_budget_refusals(tmp_path, capsys):
 
 
 def test_verify_records_every_trial_error(tmp_path, capsys, monkeypatch):
-    """An exception outside the redrawable refusals is recorded against its
-    trial and seed; the other checks still run and the suite fails."""
+    """An exception a trial raises is recorded against its trial and seed;
+    the other checks still run and the suite fails."""
     calls = []
     radius = checks.numerical_radius
 
@@ -350,16 +351,20 @@ def test_verify_records_every_trial_error(tmp_path, capsys, monkeypatch):
     assert all(c["violations"] == 0 and c["sampler_failures"] == 0 for c in rep["checks"])
 
 
-def test_replay_of_an_errored_trial_exits_three(tmp_path, capsys, monkeypatch):
-    """A trial error outside the precondition failures, such as a LAPACK
-    LinAlgError, replays as one stderr line and exit 3, as its run ended."""
+@pytest.mark.parametrize("fault, args", [
+    ("linalg", ("verify", "r01", "--check", "C04", "--trials", "2")),
+    ("budget", ("verify", "r12", "--check", "C09", "--trials", "2", "--nodes", "4")),
+], ids=["linalg", "budget"])
+def test_replay_of_an_errored_trial_exits_three(tmp_path, capsys, monkeypatch, fault, args):
+    """A trial error, such as a LAPACK LinAlgError or a quadrature past the
+    node budget, replays as one stderr line and exit 3, as its run ended."""
 
     def failing(A):
         raise np.linalg.LinAlgError("zggev failed to converge")
 
-    monkeypatch.setattr(checks, "numerical_radius", failing)
+    if fault == "linalg":
+        monkeypatch.setattr(checks, "numerical_radius", failing)
     out_path = tmp_path / "rep.json"
-    args = ("verify", "r01", "--check", "C04", "--trials", "2")
     code, _, _ = run_cli(capsys, *args, "--out", str(out_path))
     assert code == 3
     errors = json.loads(out_path.read_text())["checks"][0]["errors"]
@@ -503,6 +508,20 @@ def test_r_override_passthrough(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "r12", "--check", "C09", "--r", "0.5",
                            "--trials", "3")
     assert code == 2
+
+
+def test_verify_refuses_r_outside_a_suite_check_before_any_trial(capsys, monkeypatch):
+    """--r is checked against every check of the suite before the first
+    runs, not when the sweep reaches the check it does not fit."""
+    calls = []
+    monkeypatch.setattr(runner, "run_check", lambda *args, **kw: calls.append(args))
+    with pytest.raises(PreconditionError) as exc:
+        runner.run_suite("all", runner.RunConfig(r_override=0.5))
+    assert str(exc.value).startswith("r=0.5 lies outside the admissible interval(s) ")
+    assert str(exc.value).endswith(" of C07")
+    code, out, err = run_cli(capsys, "verify", "all", "--r", "0.5", "--trials", "500")
+    assert code == 2 and out == "" and calls == []
+    assert err == f"precondition failed: {exc.value}\n"
 
 
 def test_replay_refuses_r_outside_the_check(capsys):

@@ -46,3 +46,21 @@ def test_main_leaves_warning_filters_alone(tmp_path, capsys):
         warnings.resetwarnings()
         load_script().main(["--trials", "1", "--dims", "2..2", "--out-dir", str(tmp_path)])
         assert warnings.filters == []
+
+
+def test_out_dir_that_cannot_be_made_exits_two(tmp_path, capsys, monkeypatch):
+    """An --out-dir under a regular file is refused on one line before any
+    suite runs."""
+    script = load_script()
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_suite called")
+
+    monkeypatch.setattr(script, "run_suite", no_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert script.main(["--trials", "1", "--out-dir", str(blocker / "runs")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"precondition failed: cannot write {blocker / 'runs'}/verify-")
+    assert err.endswith(": Not a directory\n") and len(err.splitlines()) == 1
