@@ -14,9 +14,8 @@ import json
 import pathlib
 import sys
 import time
-import warnings
 
-from sectormeans import NonAccretiveWarning, PreconditionError, RunConfig, run_suite
+from sectormeans import PreconditionError, RunConfig, run_suite
 from sectormeans.cli import NODES_HELP, parse_dims, print_report, write_report
 
 SUITES = ("r01", "r12", "rneg", "identities")
@@ -52,18 +51,13 @@ def main(argv=None):
 
     status = 0
     summaries = {}
-    # as in `sectormeans verify`: the identity checks leave the accretive
-    # cone by design, so the warning carries no information here; the
-    # caller's warning filters are left as they were
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", category=NonAccretiveWarning)
-        for suite in SUITES:
-            report = run_suite(suite, config)
-            print_report(report)
-            for fmt in ("json", "csv"):
-                write_report(report, fmt, str(out_dir / f"{suite}.{fmt}"))
-            summaries[suite] = report.to_dict()["summary"]
-            status = max(status, 0 if report.passed else 3)
+    for suite in SUITES:
+        report = run_suite(suite, config)
+        print_report(report)
+        for fmt in ("json", "csv"):
+            write_report(report, fmt, str(out_dir / f"{suite}.{fmt}"))
+        summaries[suite] = report.to_dict()["summary"]
+        status = max(status, 0 if report.passed else 3)
 
     (out_dir / "summary.json").write_text(json.dumps(summaries, indent=2) + "\n")
     total_viol = sum(s["violations"] for s in summaries.values())

@@ -8,9 +8,8 @@ An inequality is a list of terms (lhs, rhs), each meaning lhs <= rhs: in the
 Loewner order for matrices (margin lambda_min(rhs - lhs)) and as plain
 numbers for floats (margin rhs - lhs).  The claim's margin is the smallest
 term margin, and a reversed or flipped claim swaps the sides of every term.
-Sector-membership claims report the smallest of the three cone margins and
-negate it under a flip; identity claims report minus the relative distance
-between the two sides and refuse a flip.
+Identity claims report minus the relative distance between the two sides and
+refuse a flip.
 
 A side that depends on the sector angle is a function of it, so its term is
 measured twice: once at the angle the generator was asked for (the primary,
@@ -332,27 +331,15 @@ def _nabla_reverse(inst: Instance, ctx: EvalContext) -> list[Term]:
     return [(arithmetic_mean(inst.A, inst.B, inst.r), _mean(inst.A, inst.B, inst.r, ctx))]
 
 
-# ---------------------------------------------------------------------------
-# membership evaluator
-
-
-def _ev_sector_closure(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
+def _sector_closure(inst: Instance, ctx: EvalContext) -> list[Term]:
+    """A #_r B in S_alpha: M = A #_r B is accretive and +-Im M <= tan(alpha) Re M."""
     M = _mean(inst.A, inst.B, inst.r, ctx)
     R, S = real_part(M), imag_part(M)
-    scale = op_norm(M)
-    accretive = loewner_margin(0.0, M)
 
-    def membership(alpha: float) -> float:
-        tR = math.tan(alpha) * R
-        return min(accretive, loewner_margin(S, tR), loewner_margin(-S, tR))
+    def cone(alpha: float) -> np.ndarray:
+        return math.tan(alpha) * R
 
-    margin = membership(inst.alpha)
-    strict = (
-        membership(inst.alpha_realized) if inst.alpha_realized != inst.alpha else margin
-    )
-    if flip:
-        margin, strict = -margin, -strict
-    return TrialEval(margin, scale, strict)
+    return [(np.zeros_like(M), M), (S, cone), (-S, cone)]
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +472,7 @@ def _build_catalog() -> tuple[list[Check], list[Check]]:
             id="C11", name="sector-closure-12", kind="membership",
             args=("sectorial", "pd"), r_intervals=(R12,),
             anchor="A #_r B in S_alpha for A in S_alpha, B > 0, r in (1,2)",
-            evaluate=_ev_sector_closure,
+            evaluate=_claims(_sector_closure),
         ),
         Check(
             id="C12", name="geo-real-lower-12", kind="loewner",
@@ -527,7 +514,7 @@ def _build_catalog() -> tuple[list[Check], list[Check]]:
             id="C18", name="sector-closure-neg", kind="membership",
             args=("pd", "sectorial"), r_intervals=(RNEG,),
             anchor="A #_r B in S_alpha for A > 0, B in S_alpha, r in (-1,0)",
-            evaluate=_ev_sector_closure,
+            evaluate=_claims(_sector_closure),
         ),
         Check(
             id="C19", name="geo-real-lower-neg", kind="loewner",

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 from .checks import SUITE_NAMES, suite_checks
 from .linalg import PreconditionError
 from .matrixio import dumps_matrix, parse_matrix
-from .means import ENGINES, NonAccretiveWarning, geometric_mean, principal_power
+from .means import ENGINES, geometric_mean, principal_power
 from .norms import norm_table, numerical_radius
 from .runner import RunConfig, SuiteReport, replay_trial, run_suite
 from .sectors import is_accretive, sector_angle
@@ -173,7 +173,7 @@ def write_report(report: SuiteReport, fmt: str, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for c in report.checks:
-            writer.writerow([c.id, c.anchor, c.trials, c.violations, c.worst_margin, c.worst_seed])
+            writer.writerow([c.id, c.paper_anchor, c.trials, c.violations, c.worst_margin, c.worst_seed])
 
 
 def print_report(report: SuiteReport) -> None:
@@ -198,15 +198,6 @@ def print_report(report: SuiteReport) -> None:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
-    # identity checks evaluate means whose inner congruence routinely leaves
-    # the accretive cone; that is expected there, so keep the output clean
-    # without changing the caller's warning filters
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", category=NonAccretiveWarning)
-        return _run_verify(ns)
-
-
-def _run_verify(ns: argparse.Namespace) -> int:
     valid_ids = [c.id for c in suite_checks(ns.suite)]
     if ns.check is not None and ns.check not in valid_ids:
         print(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -33,6 +34,7 @@ from .checks import (
 )
 from .linalg import PreconditionError
 from .maps import MAP_KINDS, random_map
+from .means import NonAccretiveWarning
 from .norms import NORM_KINDS
 from .quadrature import MAX_NODES, require_node_count
 from .sectors import (
@@ -86,7 +88,7 @@ class RunConfig:
 class CheckResult:
     id: str
     name: str
-    anchor: str
+    paper_anchor: str
     trials: int
     violations: int
     worst_margin: Optional[float]
@@ -100,21 +102,7 @@ class CheckResult:
     errors: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "name": self.name,
-            "paper_anchor": self.anchor,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "worst_seed": self.worst_seed,
-            "worst_trial": self.worst_trial,
-            "worst_margin_strict": self.worst_margin_strict,
-            "sampler_failures": self.sampler_failures,
-            "informational": self.informational,
-            "runtime_s": self.runtime_s,
-            "errors": self.errors,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -232,11 +220,18 @@ def _run_one_trial(
     flip: bool,
 ) -> dict:
     """Evaluate one trial once: its instance and margins, or its error as
-    {"trial", "seed", "reason"}.  A run and a replay share this record."""
+    {"trial", "seed", "reason"}.  A run and a replay share this record.
+
+    The identity checks evaluate means whose inner congruence routinely
+    leaves the accretive cone, so a trial ignores NonAccretiveWarning and
+    leaves the caller's warning filters as they were.
+    """
     seed = derive_seed(master_seed, check.id, trial, 0)
     try:
-        inst = sample_instance(check, config, seed, trial)
-        ev = check.evaluate(inst, EvalContext(nodes=config.nodes), flip)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NonAccretiveWarning)
+            inst = sample_instance(check, config, seed, trial)
+            ev = check.evaluate(inst, EvalContext(nodes=config.nodes), flip)
     except Exception as exc:
         return {"trial": trial, "seed": seed, "reason": f"{type(exc).__name__}: {exc}"}
     return {
@@ -253,16 +248,26 @@ def _run_one_trial(
     }
 
 
-def _require_r_override(check: Check, config: RunConfig) -> None:
-    """Refuse an `r_override` outside every admissible interval of the check."""
+def _admit(check: Check, config: RunConfig, mutate: Optional[str]) -> bool:
+    """Refuse a run of the check that cannot start, and return whether it flips.
+
+    A run is refused for an unknown mutation, a flip of an identity, or an
+    `r_override` outside every admissible interval of the check.
+    """
+    if mutate not in (None, "flip"):
+        raise PreconditionError(f"unknown mutation {mutate!r}; only 'flip' is supported")
+    flip = mutate == "flip"
+    if flip and check.kind == "identity":
+        raise PreconditionError(f"direction flip is undefined for identity check {check.id}")
     r0 = config.r_override
-    if r0 is None or not check.r_intervals:
-        return
-    if not any(lo < r0 < hi for lo, hi in check.r_intervals):
+    if r0 is not None and check.r_intervals and not any(
+        lo < r0 < hi for lo, hi in check.r_intervals
+    ):
         intervals = " or ".join(f"({lo}, {hi})" for lo, hi in check.r_intervals)
         raise PreconditionError(
             f"r={r0} lies outside the admissible interval(s) {intervals} of {check.id}"
         )
+    return flip
 
 
 def run_check(
@@ -277,12 +282,7 @@ def run_check(
     sampler must then produce violations, which is how the harness proves
     it can detect a false claim.
     """
-    if mutate not in (None, "flip"):
-        raise PreconditionError(f"unknown mutation {mutate!r}; only 'flip' is supported")
-    flip = mutate == "flip"
-    if flip and check.kind == "identity":
-        raise PreconditionError(f"direction flip is undefined for identity check {check.id}")
-    _require_r_override(check, config)
+    flip = _admit(check, config, mutate)
     seed = config.seed if master_seed is None else master_seed
 
     start = time.perf_counter()
@@ -303,7 +303,7 @@ def run_check(
     return CheckResult(
         id=check.id,
         name=check.name,
-        anchor=check.anchor,
+        paper_anchor=check.anchor,
         trials=config.trials,
         violations=violations,
         worst_margin=None if worst is None else margin_key(worst),
@@ -329,8 +329,8 @@ def run_suite(
         selected = [c for c in selected if c.id == check_id]
         if not selected:
             raise PreconditionError(f"check {check_id!r} is not part of suite {suite!r}")
-    for check in selected:  # refuse a bad --r before the first trial, not at its check
-        _require_r_override(check, config)
+    for check in selected:  # refuse before the first trial, not at the check
+        _admit(check, config, mutate)
     report = SuiteReport(suite=suite, seed=config.seed, config=config)
     start = time.perf_counter()
     for check in selected:
@@ -348,7 +348,7 @@ def replay_trial(check_id: str, seed: int, config: RunConfig) -> dict:
     or the "reason" of the error it raised.
     """
     check = check_by_id(check_id)
-    _require_r_override(check, config)
+    _admit(check, config, None)
     trial = next(
         (t for t in range(config.trials) if derive_seed(config.seed, check.id, t, 0) == seed),
         None,

@@ -7,6 +7,7 @@ module.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from sectormeans import (
     EigenbasisConditionError,
     EvalContext,
+    NonAccretiveWarning,
     PreconditionError,
     PrincipalBranchError,
     RunConfig,
@@ -175,6 +177,20 @@ def test_flip_rejected_for_identities():
         run_check(check_by_id("C07"), small_config(), mutate="negate")
 
 
+def test_suite_run_is_refused_before_any_trial(monkeypatch):
+    """A flip of a suite that holds an identity, or an unknown mutation, is
+    refused before the first check runs, not when the sweep reaches it."""
+    calls = []
+    monkeypatch.setattr(runner, "run_check", lambda *args, **kw: calls.append(args))
+    cfg = small_config(trials=2)
+    for suite in ("all", "identities"):
+        with pytest.raises(PreconditionError, match="identity check I01"):
+            run_suite(suite, cfg, mutate="flip")
+    with pytest.raises(PreconditionError, match="unknown mutation 'negate'"):
+        run_suite("r12", cfg, mutate="negate")
+    assert calls == []
+
+
 def test_r_override_validated():
     cfg = small_config(r_override=0.5)
     with pytest.raises(PreconditionError):
@@ -224,6 +240,28 @@ def test_flipped_scalar_claim_negates_both_margins():
         assert flipped.margin_strict == -ev.margin_strict
 
 
+@pytest.mark.parametrize("cid", ["C11", "C18"])
+def test_membership_is_a_three_term_claim(cid):
+    """C11 and C18 state 0 <= M and +-Im M <= tan(alpha) Re M for M = A #_r B:
+    a flip swaps the sides of every term, as for every claim, and the scale
+    is the largest term scale."""
+    cfg = small_config(alphas=(0.8, 1.2))
+    ctx = EvalContext(nodes=cfg.nodes)
+    check = check_by_id(cid)
+    for trial in range(6):
+        inst = sample_instance(check, cfg, 3000 + trial, trial)
+        assert inst.alpha >= 0.8
+        M = checks._mean(inst.A, inst.B, inst.r, ctx)
+        R, S = linalg.real_part(M), linalg.imag_part(M)
+        tR = math.tan(inst.alpha) * R
+        terms = [(0 * M, M), (S, tR), (-S, tR)]
+        ev, flipped = check.evaluate(inst, ctx, False), check.evaluate(inst, ctx, True)
+        assert ev.margin == min(linalg.loewner_margin(lhs, rhs) for lhs, rhs in terms)
+        assert flipped.margin == min(linalg.loewner_margin(rhs, lhs) for lhs, rhs in terms)
+        scale = max(max(linalg.op_norm(lhs), linalg.op_norm(rhs)) for lhs, rhs in terms)
+        assert ev.scale == flipped.scale == scale
+
+
 def test_run_suite_filters_and_reports():
     cfg = small_config(trials=6)
     rep = run_suite("identities", cfg)
@@ -260,6 +298,21 @@ def test_replay_reproduces_worst_trial():
     assert out["violated"] is False
     with pytest.raises(PreconditionError, match="seed"):
         replay_trial("C12", 123456789, cfg)
+
+
+def test_trials_ignore_the_expected_warning_under_warnings_as_errors():
+    """The identity checks' means leave the accretive cone by design: a run
+    and a replay ignore that warning even where the caller makes warnings
+    errors, and leave the caller's filters as they were."""
+    cfg = RunConfig(seed=42, trials=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NonAccretiveWarning)
+        filters = list(warnings.filters)
+        rep = run_suite("identities", cfg)
+        assert rep.errors == 0 and rep.passed
+        out = replay_trial("I01", derive_seed(42, "I01", 0, 0), cfg)
+        assert math.isfinite(out["margin"]) and out["violated"] is False
+        assert warnings.filters == filters
 
 
 def test_flipped_run_evaluates_each_trial_once():
