@@ -120,7 +120,8 @@ def build_parser() -> _Parser:
 def _cmd_compute(ns: argparse.Namespace) -> int:
     A = parse_matrix(ns.matrix)
     if ns.op == "power":
-        # the library only warns on a non-accretive power input; the CLI refuses it
+        # the library powers any input whose spectrum avoids the cut; the CLI
+        # refuses a non-accretive one
         ok, margin = is_accretive(A)
         if not ok:
             raise PreconditionError(
@@ -244,7 +245,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         ns = parser.parse_args(argv)
         if ns.command == "compute":
-            # a warning (such as a NonAccretiveWarning) prints as one stable line
+            # a warning (such as NumPy's overflow in power) prints as one stable line
             with warnings.catch_warnings():
                 warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
                 return _cmd_compute(ns)

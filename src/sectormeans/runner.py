@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -34,7 +33,6 @@ from .checks import (
 )
 from .linalg import PreconditionError
 from .maps import MAP_KINDS, random_map
-from .means import NonAccretiveWarning
 from .norms import NORM_KINDS
 from .quadrature import MAX_NODES, require_node_count
 from .sectors import (
@@ -78,8 +76,8 @@ class RunConfig:
                 f"need 1 <= dim_min <= dim_max <= {MAX_DIM}, got {self.dim_min}..{self.dim_max}"
             )
         require_node_count(self.nodes)
-        if not self.tol > 0.0:
-            raise PreconditionError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise PreconditionError(f"tol must be positive and finite, got {self.tol}")
         if not self.alphas or not all(0.0 <= a < math.pi / 2 for a in self.alphas):
             raise PreconditionError(f"alphas must lie in [0, pi/2), got {self.alphas}")
 
@@ -221,17 +219,11 @@ def _run_one_trial(
 ) -> dict:
     """Evaluate one trial once: its instance and margins, or its error as
     {"trial", "seed", "reason"}.  A run and a replay share this record.
-
-    The identity checks evaluate means whose inner congruence routinely
-    leaves the accretive cone, so a trial ignores NonAccretiveWarning and
-    leaves the caller's warning filters as they were.
     """
     seed = derive_seed(master_seed, check.id, trial, 0)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NonAccretiveWarning)
-            inst = sample_instance(check, config, seed, trial)
-            ev = check.evaluate(inst, EvalContext(nodes=config.nodes), flip)
+        inst = sample_instance(check, config, seed, trial)
+        ev = check.evaluate(inst, EvalContext(nodes=config.nodes), flip)
     except Exception as exc:
         return {"trial": trial, "seed": seed, "reason": f"{type(exc).__name__}: {exc}"}
     return {

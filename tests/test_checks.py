@@ -15,7 +15,6 @@ import pytest
 from sectormeans import (
     EigenbasisConditionError,
     EvalContext,
-    NonAccretiveWarning,
     PreconditionError,
     PrincipalBranchError,
     RunConfig,
@@ -113,8 +112,9 @@ def test_runconfig_validation():
         RunConfig(trials=0)
     with pytest.raises(PreconditionError):
         RunConfig(dim_min=5, dim_max=3)
-    with pytest.raises(PreconditionError):
-        RunConfig(tol=0.0)
+    for tol in (0.0, -1e-8, math.inf, math.nan):
+        with pytest.raises(PreconditionError, match="tol"):
+            RunConfig(tol=tol)
     with pytest.raises(PreconditionError):
         RunConfig(alphas=(1.6,))
     with pytest.raises(PreconditionError):
@@ -300,13 +300,13 @@ def test_replay_reproduces_worst_trial():
         replay_trial("C12", 123456789, cfg)
 
 
-def test_trials_ignore_the_expected_warning_under_warnings_as_errors():
-    """The identity checks' means leave the accretive cone by design: a run
-    and a replay ignore that warning even where the caller makes warnings
-    errors, and leave the caller's filters as they were."""
+def test_trials_raise_no_warning_under_warnings_as_errors():
+    """The identity checks' means leave the accretive cone by design, and
+    still warn of nothing: a run and a replay pass where the caller makes
+    every warning an error, and leave the caller's filters as they were."""
     cfg = RunConfig(seed=42, trials=20)
     with warnings.catch_warnings():
-        warnings.simplefilter("error", NonAccretiveWarning)
+        warnings.simplefilter("error")
         filters = list(warnings.filters)
         rep = run_suite("identities", cfg)
         assert rep.errors == 0 and rep.passed

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from sectormeans import (
-    NonAccretiveWarning,
     PreconditionError,
     derive_seed,
     dumps_matrix,
@@ -115,26 +114,37 @@ def test_compute_mean_endpoint_passthrough(tmp_path, capsys):
     np.testing.assert_allclose(loads_matrix(out), np.diag([1.0, 2.0]), atol=0)
 
 
-def test_compute_mean_warning_is_one_line(tmp_path, capsys):
+def test_compute_mean_off_cone_inner_prints_no_warning(tmp_path, capsys):
     """gen_accretive(2, 0) # gen_accretive(2, 1000): the eigen route's inner
     congruence leaves the accretive cone but avoids the cut, so the mean is
-    printed as it is and the warning is one stable stderr line."""
+    printed as it is, with nothing on stderr."""
     a = put(tmp_path, "a.json", gen_accretive(2, 0))
     b = put(tmp_path, "b.json", gen_accretive(2, 1000))
     with warnings.catch_warnings():
-        # the filters of a fresh interpreter, not the test config's ignore
+        # the filters of a fresh interpreter, not the test config's
         warnings.resetwarnings()
         code, out, err = run_cli(capsys, "compute", "mean", a, b,
                                  "--r", "0.5", "--engine", "eigen")
     assert code == 0
-    assert err == (
-        "warning: inner congruence A^{-1/2} B A^{-1/2} is not accretive; "
-        "principal branch still defined, proceeding\n"
-    )
+    assert err == ""
     A, B = (loads_matrix(Path(path).read_text()) for path in (a, b))
+    assert out == dumps_matrix(geometric_mean(A, B, 0.5, engine="eigen")) + "\n"
+
+
+def test_compute_numpy_warning_is_one_line(tmp_path, capsys):
+    """NumPy's floating-point warnings still reach the compute hook: each
+    prints as one stderr line, ahead of the refusal of the overflowed result."""
+    path = put(tmp_path, "big.json", np.diag([1e300, 1e295]))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonAccretiveWarning)
-        assert out == dumps_matrix(geometric_mean(A, B, 0.5, engine="eigen")) + "\n"
+        # the filters of a fresh interpreter, not the test config's
+        warnings.resetwarnings()
+        code, out, err = run_cli(capsys, "compute", "power", path,
+                                 "--r", "1.5", "--engine", "eigen")
+    assert code == 2 and out == ""
+    *warned, refusal = err.splitlines()
+    assert warned[0] == "warning: overflow encountered in power"
+    assert all(line.startswith("warning: ") for line in warned)
+    assert refusal.startswith("precondition failed: ")
 
 
 def test_compute_sector(tmp_path, capsys):
@@ -490,6 +500,15 @@ def test_verify_tiny_tolerance_fails_closed(tmp_path, capsys):
                            "--tol", "1e-300", "--out", str(tmp_path / "rep.json"))
     assert code == 3
     assert "FAIL" in out
+
+
+def test_verify_infinite_tolerance_is_refused(tmp_path, capsys):
+    # --tol inf would pass every trial, a flipped claim's included
+    code, _, err = run_cli(capsys, "verify", "identities", "--check", "I01",
+                           "--trials", "2", "--tol", "inf", "--out", str(tmp_path / "rep.json"))
+    assert code == 2
+    assert "tol must be positive and finite" in err
+    assert not (tmp_path / "rep.json").exists()
 
 
 def test_usage_errors_exit_one(capsys):

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from sectormeans import (
     EigenbasisConditionError,
     NodeBudgetError,
-    NonAccretiveWarning,
     PreconditionError,
     PrincipalBranchError,
     arithmetic_mean,
@@ -39,7 +38,7 @@ from sectormeans import (
     sector_angle,
 )
 from sectormeans.linalg import inverse
-from sectormeans.means import _resolvent_mean
+from sectormeans.means import ENGINES, _resolvent_mean
 from sectormeans.quadrature import MAX_NODES, MIN_NODES, node_count, quadrature_rule
 
 from conftest import rel_err
@@ -210,9 +209,7 @@ def test_power_quad_far_from_normal(r):
     A = np.diag(np.linspace(1.0, 1.5, 12)) + np.eye(12, k=1)
     lam = np.linalg.eigvals(A)
     assert node_count(lam / math.sqrt(lam.real.min() * lam.real.max())) == 7
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonAccretiveWarning)
-        got = principal_power_quad(A, r)
+    got = principal_power_quad(A, r)
     assert rel_err(got, scipy.linalg.fractional_matrix_power(A, r)) <= 1e-14
 
 
@@ -221,12 +218,10 @@ def test_power_quad_refuses_near_the_cut():
     # [0, 1], so no node budget can resolve it; the route used to return
     # 4e-9j for an entry whose principal root is about 1j
     A = np.diag([-1.0 + 1e-10j, 2.0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonAccretiveWarning)
-        with pytest.raises(NodeBudgetError):
-            principal_power_quad(A, 0.5)
-        # the eigen engine reaches 1e-13 * rho of the cut: the principal root
-        out = principal_power_eigen(A, 0.5)
+    with pytest.raises(NodeBudgetError):
+        principal_power_quad(A, 0.5)
+    # the eigen engine reaches 1e-13 * rho of the cut: the principal root
+    out = principal_power_eigen(A, 0.5)
     np.testing.assert_allclose(out, np.diag([5e-11 + 1j, math.sqrt(2.0)]), rtol=1e-12, atol=0)
 
 
@@ -283,18 +278,35 @@ def test_power_dispatcher_engines_agree():
 
 
 def test_power_branch_cut_raises():
+    # the quad engine refuses in its kernel, from the spectrum it centres,
+    # and an eigenvalue of exactly 0 before the kernel divides by the scale
+    for engine in ENGINES:
+        with pytest.raises(PrincipalBranchError):
+            principal_power(scalar(-1.0), 0.5, engine=engine)
+        with pytest.raises(PrincipalBranchError):
+            principal_power(np.diag([1.0, 0.0, 2.0 + 1j]), 0.5, engine=engine)
+
+
+def test_hermitian_cut_differs_between_engines():
+    """The eigen engine's eigh path refuses only lambda_min <= 0, so it powers
+    an eigenvalue 1e-15 * rho above the cut; the quad engine refuses it."""
+    A = np.diag([1e-15, 1.0])
+    out = principal_power(A, 0.5, engine="eigen")
+    np.testing.assert_allclose(out, np.diag([math.sqrt(1e-15), 1.0]), rtol=1e-14, atol=0)
     with pytest.raises(PrincipalBranchError):
-        principal_power_eigen(scalar(-1.0), 0.5)
+        principal_power(A, 0.5, engine="quad")
 
 
-def test_power_warns_off_cone_but_off_cut():
-    # spectrum {-1 + 3i} avoids the cut, so the power exists; the quadrature
-    # route flags the non-accretive input before proceeding
-    with pytest.warns(NonAccretiveWarning):
+def test_power_off_cone_but_off_cut_is_silent():
+    # spectrum {-1 + 3i} avoids the cut, so the power exists: both engines
+    # return it, and neither warns that the input is not accretive
+    want = complex(-1.0 + 3.0j) ** 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         out = principal_power_quad(scalar(-1.0 + 3.0j), 0.5, 96)
-    assert out[0, 0] == pytest.approx(complex(-1.0 + 3.0j) ** 0.5, abs=1e-8)
-    silent = principal_power_eigen(scalar(-1.0 + 3.0j), 0.5)
-    assert silent[0, 0] == pytest.approx(complex(-1.0 + 3.0j) ** 0.5, abs=1e-12)
+        silent = principal_power_eigen(scalar(-1.0 + 3.0j), 0.5)
+    assert out[0, 0] == pytest.approx(want, abs=1e-8)
+    assert silent[0, 0] == pytest.approx(want, abs=1e-12)
 
 
 def test_power_defective_eigenbasis_rejected():
@@ -362,27 +374,37 @@ def test_geometric_engine_quad_is_the_integral():
                               geometric_mean_integral(A, B, r))
 
 
-@pytest.mark.parametrize("c", [1e-15, 2.0**-60, 1e6])
+@pytest.mark.parametrize("c", [1e-200, 1e-15, 2.0**-60, 1e6, 1e200])
 def test_domain_tests_scale_invariant(c):
     # the means are homogeneous, so scaling the inputs may change neither a
-    # domain verdict nor any digit beyond rounding
+    # domain verdict nor any digit beyond rounding; each result is compared
+    # with the scale divided out, as a norm of 1e200 overflows
     A = gen_sectorial(4, 0.8, 1).matrix  # sector angle 0.58
     B = gen_sectorial(4, 0.4, 2).matrix
-    assert rel_err(principal_power_eigen(c * A, 0.5), c**0.5 * principal_power_eigen(A, 0.5)) <= 1e-12
-    assert rel_err(geometric_mean(c * A, c * B, 1.5), c * geometric_mean(A, B, 1.5)) <= 1e-12
+    assert rel_err(principal_power_eigen(c * A, 0.5) / c**0.5, principal_power_eigen(A, 0.5)) <= 1e-12
+    assert rel_err(geometric_mean(c * A, c * B, 1.5) / c, geometric_mean(A, B, 1.5)) <= 1e-12
     # the quadrature kernel centres the spectrum, so its routes are homogeneous too
-    assert rel_err(principal_power_quad(c * A, 0.5), c**0.5 * principal_power_quad(A, 0.5)) <= 1e-12
+    assert rel_err(principal_power_quad(c * A, 0.5) / c**0.5, principal_power_quad(A, 0.5)) <= 1e-12
     assert rel_err(
-        geometric_mean(c * A, c * B, 1.5, engine="quad"),
-        c * geometric_mean(A, B, 1.5, engine="quad"),
+        geometric_mean(c * A, c * B, 1.5, engine="quad") / c,
+        geometric_mean(A, B, 1.5, engine="quad"),
     ) <= 1e-12
     for r in (-0.4, 0.3, 1.5):
         assert rel_err(
-            geometric_mean_integral(A, c * B, r), c**r * geometric_mean_integral(A, B, r)
+            geometric_mean_integral(A, c * B, r) / c**r, geometric_mean_integral(A, B, r)
         ) <= 1e-12
     assert sector_angle(c * A) == pytest.approx(sector_angle(A), rel=1e-12)
     for alpha in (0.1, 0.6, 1.2):
         assert in_sector(c * A, alpha) == in_sector(A, alpha)
+
+
+def test_quad_result_past_the_double_range_is_refused():
+    # the centring scale stays finite up to 1e308, but c^r or the product
+    # with it may not: either is refused, not returned as inf or raised raw
+    for d in ([1e300, 1e295], [1e206, 1e200]):
+        with pytest.raises(PreconditionError, match="overflows"):
+            principal_power_quad(np.diag(d), 1.5)
+        assert rel_err(principal_power_quad(np.diag(d), 0.5), np.diag(np.sqrt(d))) <= 1e-12
 
 
 # ------------------------------------------------------------ integral form
@@ -465,15 +487,13 @@ def test_identities_fixed_point():
 @settings(max_examples=20)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_identities_close_on_random_pairs(seed):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonAccretiveWarning)
-        A, B = gen_accretive(4, seed), gen_accretive(4, seed + 1)
-        r12 = 1.0 + 0.05 + (seed % 9) / 10.0
-        assert rel_err(reflection_identity(A, B, r12), geometric_mean(A, B, r12)) <= 1e-8
-        rneg = -(0.05 + (seed % 9) / 10.0)
-        assert rel_err(negation_identity(A, B, rneg), geometric_mean(A, B, rneg)) <= 1e-8
-        lhs, rhs = inverse_mean_identity(A, B, 1.5)
-        assert rel_err(lhs, rhs) <= 1e-8
+    A, B = gen_accretive(4, seed), gen_accretive(4, seed + 1)
+    r12 = 1.0 + 0.05 + (seed % 9) / 10.0
+    assert rel_err(reflection_identity(A, B, r12), geometric_mean(A, B, r12)) <= 1e-8
+    rneg = -(0.05 + (seed % 9) / 10.0)
+    assert rel_err(negation_identity(A, B, rneg), geometric_mean(A, B, rneg)) <= 1e-8
+    lhs, rhs = inverse_mean_identity(A, B, 1.5)
+    assert rel_err(lhs, rhs) <= 1e-8
 
 
 def test_identity_branch_preconditions():
@@ -484,15 +504,28 @@ def test_identity_branch_preconditions():
         negation_identity(A, A, 0.5)
 
 
-def test_sectorial_pair_mean_warns_not_raises():
+def test_sectorial_pair_mean_off_cone_is_finite():
     """Wide-sector pairs can push the inner matrix off the accretive cone;
     the mean still evaluates on the principal branch."""
     A = gen_sectorial(3, 1.35, 90).matrix
     B = gen_sectorial(3, 1.35, 91).matrix
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NonAccretiveWarning)
-        out = geometric_mean(A, B, 1.9)
+    out = geometric_mean(A, B, 1.9)
     assert np.all(np.isfinite(out))
+
+
+def test_eigen_mean_raises_no_warning_off_the_cone():
+    """The inner congruence A^{-1/2} B A^{-1/2} has the spectrum of A^{-1} B,
+    ratios <Bx, x> / <Ax, x> of two numbers in the open right half-plane, so
+    it avoids the cut even where the matrix leaves the accretive cone (most
+    of these pairs).  The eigen mean is then a plain value, and it agrees
+    with the integral."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in range(200):
+            n = 2 + i % 4
+            A, B = gen_accretive(n, i), gen_accretive(n, 1000 + i)
+            r = (-0.5, 0.5, 1.5)[i % 3]
+            assert rel_err(geometric_mean(A, B, r), geometric_mean_integral(A, B, r)) <= 1e-8
 
 
 # ------------------------------------------------------------ shared rule
