@@ -102,28 +102,81 @@ class TrialEval:
     margin_strict: float
 
 
+Value = Union[np.ndarray, float]
+Side = Union[Value, Callable[[float], Value]]
+Term = tuple[Side, Side]
+TermsOf = Callable[[Instance, EvalContext], list[Term]]
+
+
 @dataclass(frozen=True)
 class Check:
+    """One catalog entry, its claim carried as data.
+
+    An inequality holds `terms`, the function that gives its terms (lhs, rhs)
+    on an instance, and `reverse`, which states each term with its sides
+    swapped.  An identity holds `rel`, the relative distance between its two
+    sides.  `evaluate` measures either one.
+    """
+
     id: str
     name: str
     anchor: str
-    kind: str  # loewner | scalar | membership | identity
     args: tuple[str, ...]
     r_intervals: tuple[tuple[float, float], ...] = ()
     uses_map: bool = False
     uses_norm: bool = False
     informational: bool = False
     n_aux_uniform: int = 0
-    evaluate: Callable[[Instance, EvalContext, bool], TrialEval] = None  # type: ignore[assignment]
+    terms: Optional[TermsOf] = None
+    reverse: bool = False
+    rel: Optional[Callable[[Instance, EvalContext], float]] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("loewner", "scalar", "membership", "identity"):
-            raise PreconditionError(f"unknown check kind {self.kind!r}")
+        if (self.terms is None) == (self.rel is None):
+            raise PreconditionError(f"check {self.id} needs exactly one of terms and rel")
+        if self.reverse and self.rel is not None:
+            raise PreconditionError(f"identity check {self.id} cannot be reversed")
         if not all(c in ("pd", "accretive", "sectorial") for c in self.args):
             raise PreconditionError(f"unknown argument class in {self.args}")
         for lo, hi in self.r_intervals:
             if not (-1.0 <= lo < hi <= 2.0):
                 raise PreconditionError(f"r interval {(lo, hi)} out of the admissible range")
+
+    @property
+    def is_identity(self) -> bool:
+        return self.rel is not None
+
+    @property
+    def kind(self) -> str:
+        """Read only by `perfbench/`; it goes with ROADMAP item 2's benchmark change."""
+        return "identity" if self.is_identity else "inequality"
+
+    def evaluate(self, inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
+        """Measure the claim on one instance; flip swaps the sides of every term.
+
+        The scale is the largest term scale.  At the realized angle only the
+        terms with an angle-dependent side are measured again, and for their
+        margin alone.
+        """
+        if self.is_identity:
+            if flip:
+                raise PreconditionError(f"direction flip is undefined for identity check {self.id}")
+            rel = self.rel(inst, ctx)
+            return TrialEval(-rel, 1.0, -rel)
+        terms = self.terms(inst, ctx)
+        if flip != self.reverse:
+            terms = [(rhs, lhs) for lhs, rhs in terms]
+        sides = [(_at(lhs, inst.alpha), _at(rhs, inst.alpha)) for lhs, rhs in terms]
+        margins = [_margin(lhs, rhs) for lhs, rhs in sides]
+        margin = min(margins)
+        strict = margin
+        if inst.alpha_realized != inst.alpha:
+            strict = min(
+                _margin(_at(lhs, inst.alpha_realized), _at(rhs, inst.alpha_realized))
+                if callable(lhs) or callable(rhs) else m
+                for (lhs, rhs), m in zip(terms, margins)
+            )
+        return TrialEval(margin, max(_scale(lhs, rhs) for lhs, rhs in sides), strict)
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +218,6 @@ def _branch_cos_exponent(r: float) -> float:
 # claims: each term (lhs, rhs) states lhs <= rhs
 
 
-Value = Union[np.ndarray, float]
-Side = Union[Value, Callable[[float], Value]]
-Term = tuple[Side, Side]
-TermsOf = Callable[[Instance, EvalContext], list[Term]]
-
-
 def _at(side: Side, alpha: float) -> Value:
     return side(alpha) if callable(side) else side
 
@@ -184,33 +231,6 @@ def _margin(lhs: Value, rhs: Value) -> float:
 def _scale(lhs: Value, rhs: Value) -> float:
     size = op_norm if isinstance(lhs, np.ndarray) else abs
     return max(size(lhs), size(rhs))
-
-
-def _claims(terms_of: TermsOf, reverse: bool = False) -> Callable[..., TrialEval]:
-    """Check.evaluate for the claim that every term of terms_of holds.
-
-    reverse swaps the sides of every term, and so does a flip; the scale is
-    the largest term scale.  At the realized angle only the terms with an
-    angle-dependent side are measured again, and for their margin alone.
-    """
-
-    def evaluate(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
-        terms = terms_of(inst, ctx)
-        if flip != reverse:
-            terms = [(rhs, lhs) for lhs, rhs in terms]
-        sides = [(_at(lhs, inst.alpha), _at(rhs, inst.alpha)) for lhs, rhs in terms]
-        margins = [_margin(lhs, rhs) for lhs, rhs in sides]
-        margin = min(margins)
-        strict = margin
-        if inst.alpha_realized != inst.alpha:
-            strict = min(
-                _margin(_at(lhs, inst.alpha_realized), _at(rhs, inst.alpha_realized))
-                if callable(lhs) or callable(rhs) else m
-                for (lhs, rhs), m in zip(terms, margins)
-            )
-        return TrialEval(margin, max(_scale(lhs, rhs) for lhs, rhs in sides), strict)
-
-    return evaluate
 
 
 def _inv_real_sandwich(inst: Instance, ctx: EvalContext) -> list[Term]:
@@ -343,17 +363,7 @@ def _sector_closure(inst: Instance, ctx: EvalContext) -> list[Term]:
 
 
 # ---------------------------------------------------------------------------
-# identity evaluators
-
-
-def _identity_eval(fn: Callable[[Instance, EvalContext], float], name: str):
-    def ev(inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
-        if flip:
-            raise PreconditionError(f"direction flip is undefined for {name}")
-        rel = fn(inst, ctx)
-        return TrialEval(-rel, 1.0, -rel)
-
-    return ev
+# identities: each rel is the relative distance between the two sides
 
 
 def _rel_reflection(inst: Instance, ctx: EvalContext) -> float:
@@ -411,220 +421,190 @@ def _rel_resolvent_split(inst: Instance, ctx: EvalContext) -> float:
 def _build_catalog() -> tuple[list[Check], list[Check]]:
     main = [
         Check(
-            id="C01", name="inv-real-sandwich", kind="loewner", args=("sectorial",),
+            id="C01", name="inv-real-sandwich", args=("sectorial",), terms=_inv_real_sandwich,
             anchor="Re(inv(A)) <= inv(Re(A)) <= sec(alpha)^2*Re(inv(A)) for A in S_alpha",
-            evaluate=_claims(_inv_real_sandwich),
         ),
         Check(
-            id="C02", name="harmonic-real-lower", kind="loewner",
-            args=("accretive", "accretive"), r_intervals=(R01,),
+            id="C02", name="harmonic-real-lower",
+            args=("accretive", "accretive"), r_intervals=(R01,), terms=_harmonic_real_lower,
             anchor="Re(A !_r B) >= Re(A) !_r Re(B) for accretive A, B and r in (0,1)",
-            evaluate=_claims(_harmonic_real_lower),
         ),
         Check(
-            id="C03", name="norm-sandwich", kind="scalar", args=("sectorial",),
-            uses_norm=True,
+            id="C03", name="norm-sandwich", args=("sectorial",),
+            uses_norm=True, terms=_norm_sandwich,
             anchor="cos(alpha)*|||A||| <= |||Re(A)||| <= |||A||| for A in S_alpha",
-            evaluate=_claims(_norm_sandwich),
         ),
         Check(
-            id="C04", name="radius-geo-upper", kind="scalar",
-            args=("sectorial", "sectorial"), r_intervals=(R01,),
+            id="C04", name="radius-geo-upper",
+            args=("sectorial", "sectorial"), r_intervals=(R01,), terms=_radius_geo_upper,
             anchor="w(A #_r B) <= sec(alpha)^3 * w(A)^(1-r) * w(B)^r for A, B in S_alpha, r in [0,1]",
-            evaluate=_claims(_radius_geo_upper),
         ),
         Check(
-            id="C05", name="radius-inverse-lower", kind="scalar", args=("sectorial",),
+            id="C05", name="radius-inverse-lower", args=("sectorial",),
+            terms=_radius_inverse_lower,
             anchor="w(inv(A)) >= cos(alpha)^3 / w(A) for A in S_alpha",
-            evaluate=_claims(_radius_inverse_lower),
         ),
         Check(
-            id="C06", name="map-schwarz", kind="loewner", args=("pd", "pd"),
-            uses_map=True,
+            id="C06", name="map-schwarz", args=("pd", "pd"),
+            uses_map=True, terms=_map_schwarz,
             anchor="Phi(B) inv(Phi(A)) Phi(B) <= Phi(B inv(A) B) for A, B > 0",
-            evaluate=_claims(_map_schwarz),
         ),
         Check(
-            id="C07", name="power-real-upper-12", kind="loewner", args=("accretive",),
-            r_intervals=(R12,),
+            id="C07", name="power-real-upper-12", args=("accretive",),
+            r_intervals=(R12,), terms=_power_real,
             anchor="Re(A^r) <= (Re A)^r for accretive A, r in (1,2)",
-            evaluate=_claims(_power_real),
         ),
         Check(
-            id="C08", name="power-real-lower-01", kind="loewner", args=("accretive",),
-            r_intervals=(R01,),
+            id="C08", name="power-real-lower-01", args=("accretive",),
+            r_intervals=(R01,), terms=_power_real, reverse=True,
             anchor="Re(A^r) >= (Re A)^r for accretive A, r in [0,1]",
-            evaluate=_claims(_power_real, reverse=True),
         ),
         Check(
-            id="C09", name="geo-real-upper-12", kind="loewner",
-            args=("accretive", "accretive"), r_intervals=(R12,),
+            id="C09", name="geo-real-upper-12",
+            args=("accretive", "accretive"), r_intervals=(R12,), terms=_geo_real,
             anchor="Re(A #_r B) <= Re(A) #_r Re(B) for accretive A, B, r in (1,2)",
-            evaluate=_claims(_geo_real),
         ),
         Check(
-            id="C10", name="map-geo-reverse-12-pd", kind="loewner", args=("pd", "pd"),
-            r_intervals=(R12,), uses_map=True,
+            id="C10", name="map-geo-reverse-12-pd", args=("pd", "pd"),
+            r_intervals=(R12,), uses_map=True, terms=_map_geo, reverse=True,
             anchor="Phi(A #_r B) >= Phi(A) #_r Phi(B) for A, B > 0, r in (1,2)",
-            evaluate=_claims(_map_geo, reverse=True),
         ),
         Check(
-            id="C11", name="sector-closure-12", kind="membership",
-            args=("sectorial", "pd"), r_intervals=(R12,),
+            id="C11", name="sector-closure-12",
+            args=("sectorial", "pd"), r_intervals=(R12,), terms=_sector_closure,
             anchor="A #_r B in S_alpha for A in S_alpha, B > 0, r in (1,2)",
-            evaluate=_claims(_sector_closure),
         ),
         Check(
-            id="C12", name="geo-real-lower-12", kind="loewner",
-            args=("sectorial", "pd"), r_intervals=(R12,),
+            id="C12", name="geo-real-lower-12",
+            args=("sectorial", "pd"), r_intervals=(R12,), terms=_geo_real_cos_lower,
             anchor="cos(alpha)^(2r-2)*(Re(A) #_r Re(B)) <= Re(A #_r B) for A in S_alpha, B > 0, r in (1,2)",
-            evaluate=_claims(_geo_real_cos_lower),
         ),
         Check(
-            id="C13", name="nabla-lower-12", kind="loewner",
-            args=("sectorial", "pd"), r_intervals=(R12,),
+            id="C13", name="nabla-lower-12",
+            args=("sectorial", "pd"), r_intervals=(R12,), terms=_nabla_cos_lower,
             anchor="cos(alpha)^(2r-2)*Re((1-r)A + rB) <= Re(A #_r B) for A in S_alpha, B > 0, r in (1,2)",
-            evaluate=_claims(_nabla_cos_lower),
         ),
         Check(
-            id="C14", name="map-real-lower-12", kind="loewner",
-            args=("sectorial", "pd"), r_intervals=(R12,), uses_map=True,
+            id="C14", name="map-real-lower-12",
+            args=("sectorial", "pd"), r_intervals=(R12,), uses_map=True, terms=_map_real_cos_lower,
             anchor="cos(alpha)^(2r-2)*Re(Phi(A) #_r Phi(B)) <= Re(Phi(A #_r B)) for A in S_alpha, B > 0, r in (1,2)",
-            evaluate=_claims(_map_real_cos_lower),
         ),
         Check(
-            id="C15", name="map-norm-lower-12", kind="scalar",
+            id="C15", name="map-norm-lower-12",
             args=("sectorial", "pd"), r_intervals=(R12,), uses_map=True, uses_norm=True,
+            terms=_map_norm_cos_lower,
             anchor="cos(alpha)^2*|||Phi(A) #_r Phi(B)||| <= |||Phi(A #_r B)||| for A in S_alpha, B > 0, r in (1,2)",
-            evaluate=_claims(_map_norm_cos_lower),
         ),
         Check(
-            id="C16", name="radius-lower-12", kind="scalar",
-            args=("sectorial", "pd"), r_intervals=(R12,),
+            id="C16", name="radius-lower-12",
+            args=("sectorial", "pd"), r_intervals=(R12,), terms=_radius_cos6_lower("B"),
             anchor="w(A #_r B) >= cos(alpha)^6 * w(A)^(1-r) * w(B)^(r-2) / w(inv(B)^2) for A in S_alpha, B > 0, r in (1,2)",
-            evaluate=_claims(_radius_cos6_lower("B")),
         ),
         Check(
-            id="C17", name="geo-real-upper-neg", kind="loewner",
-            args=("accretive", "accretive"), r_intervals=(RNEG,),
+            id="C17", name="geo-real-upper-neg",
+            args=("accretive", "accretive"), r_intervals=(RNEG,), terms=_geo_real,
             anchor="Re(A #_r B) <= Re(A) #_r Re(B) for accretive A, B, r in (-1,0)",
-            evaluate=_claims(_geo_real),
         ),
         Check(
-            id="C18", name="sector-closure-neg", kind="membership",
-            args=("pd", "sectorial"), r_intervals=(RNEG,),
+            id="C18", name="sector-closure-neg",
+            args=("pd", "sectorial"), r_intervals=(RNEG,), terms=_sector_closure,
             anchor="A #_r B in S_alpha for A > 0, B in S_alpha, r in (-1,0)",
-            evaluate=_claims(_sector_closure),
         ),
         Check(
-            id="C19", name="geo-real-lower-neg", kind="loewner",
-            args=("pd", "sectorial"), r_intervals=(RNEG,),
+            id="C19", name="geo-real-lower-neg",
+            args=("pd", "sectorial"), r_intervals=(RNEG,), terms=_geo_real_cos_lower,
             anchor="cos(alpha)^(-2r)*(Re(A) #_r Re(B)) <= Re(A #_r B) for A > 0, B in S_alpha, r in (-1,0)",
-            evaluate=_claims(_geo_real_cos_lower),
         ),
         Check(
-            id="C20", name="nabla-lower-neg", kind="loewner",
-            args=("pd", "sectorial"), r_intervals=(RNEG,),
+            id="C20", name="nabla-lower-neg",
+            args=("pd", "sectorial"), r_intervals=(RNEG,), terms=_nabla_cos_lower,
             anchor="cos(alpha)^(-2r)*Re((1-r)A + rB) <= Re(A #_r B) for A > 0, B in S_alpha, r in (-1,0)",
-            evaluate=_claims(_nabla_cos_lower),
         ),
         Check(
-            id="C21", name="map-real-lower-neg", kind="loewner",
+            id="C21", name="map-real-lower-neg",
             args=("pd", "sectorial"), r_intervals=(RNEG,), uses_map=True,
+            terms=_map_real_cos_lower,
             anchor="cos(alpha)^(-2r)*Re(Phi(A) #_r Phi(B)) <= Re(Phi(A #_r B)) for A > 0, B in S_alpha, r in (-1,0)",
-            evaluate=_claims(_map_real_cos_lower),
         ),
         Check(
-            id="C22", name="map-norm-lower-neg", kind="scalar",
+            id="C22", name="map-norm-lower-neg",
             args=("pd", "sectorial"), r_intervals=(RNEG,), uses_map=True, uses_norm=True,
+            terms=_map_norm_cos_lower,
             anchor="cos(alpha)^2*|||Phi(A) #_r Phi(B)||| <= |||Phi(A #_r B)||| for A > 0, B in S_alpha, r in (-1,0)",
-            evaluate=_claims(_map_norm_cos_lower),
         ),
         Check(
-            id="C23", name="radius-lower-neg", kind="scalar",
-            args=("pd", "sectorial"), r_intervals=(RNEG,),
+            id="C23", name="radius-lower-neg",
+            args=("pd", "sectorial"), r_intervals=(RNEG,), terms=_radius_cos6_lower("A"),
             anchor="w(A #_r B) >= cos(alpha)^6 * w(A)^(-(r+1)) * w(B)^r / w(inv(A)^2) for A > 0, B in S_alpha, r in (-1,0)",
-            evaluate=_claims(_radius_cos6_lower("A")),
         ),
         Check(
-            id="C24", name="amgm-chain-01", kind="loewner", args=("pd", "pd"),
-            r_intervals=(R01,),
+            id="C24", name="amgm-chain-01", args=("pd", "pd"),
+            r_intervals=(R01,), terms=_amgm_chain,
             anchor="A !_r B <= A #_r B <= (1-r)A + rB for A, B > 0, r in [0,1]",
-            evaluate=_claims(_amgm_chain),
         ),
         Check(
-            id="C25", name="nabla-reverse-pd", kind="loewner", args=("pd", "pd"),
-            r_intervals=(R12, RNEG),
+            id="C25", name="nabla-reverse-pd", args=("pd", "pd"),
+            r_intervals=(R12, RNEG), terms=_nabla_reverse,
             anchor="(1-r)A + rB <= A #_r B for A, B > 0, r in (1,2) or r in (-1,0)",
-            evaluate=_claims(_nabla_reverse),
         ),
         Check(
-            id="C26", name="map-geo-forward-01-pd", kind="loewner", args=("pd", "pd"),
-            r_intervals=(R01,), uses_map=True,
+            id="C26", name="map-geo-forward-01-pd", args=("pd", "pd"),
+            r_intervals=(R01,), uses_map=True, terms=_map_geo,
             anchor="Phi(A #_r B) <= Phi(A) #_r Phi(B) for A, B > 0, r in [0,1]",
-            evaluate=_claims(_map_geo),
         ),
         Check(
-            id="C27", name="map-geo-reverse-neg-pd", kind="loewner", args=("pd", "pd"),
-            r_intervals=(RNEG,), uses_map=True,
+            id="C27", name="map-geo-reverse-neg-pd", args=("pd", "pd"),
+            r_intervals=(RNEG,), uses_map=True, terms=_map_geo, reverse=True,
             anchor="Phi(A #_r B) >= Phi(A) #_r Phi(B) for A, B > 0, r in (-1,0)",
-            evaluate=_claims(_map_geo, reverse=True),
         ),
         Check(
-            id="C28", name="geo-real-lower-01", kind="loewner",
-            args=("accretive", "accretive"), r_intervals=(R01,),
+            id="C28", name="geo-real-lower-01",
+            args=("accretive", "accretive"), r_intervals=(R01,), terms=_geo_real, reverse=True,
             anchor="Re(A #_r B) >= Re(A) #_r Re(B) for accretive A, B, r in (0,1)",
-            evaluate=_claims(_geo_real, reverse=True),
         ),
         Check(
-            id="C29", name="geo-real-sec2-upper-01", kind="loewner",
-            args=("sectorial", "sectorial"), r_intervals=(R01,),
+            id="C29", name="geo-real-sec2-upper-01",
+            args=("sectorial", "sectorial"), r_intervals=(R01,), terms=_geo_real_sec2_upper,
             anchor="Re(A #_r B) <= sec(alpha)^2*(Re(A) #_r Re(B)) for A, B in S_alpha, r in [0,1]",
-            evaluate=_claims(_geo_real_sec2_upper),
         ),
         Check(
-            id="I01", name="reflection-identity", kind="identity",
-            args=("accretive", "accretive"), r_intervals=(R12,),
+            id="I01", name="reflection-identity",
+            args=("accretive", "accretive"), r_intervals=(R12,), rel=_rel_reflection,
             anchor="A #_r B = B inv(A #_(2-r) B) B for accretive A, B, r in (1,2)",
-            evaluate=_identity_eval(_rel_reflection, "reflection identity"),
         ),
         Check(
-            id="I02", name="negation-identity", kind="identity",
-            args=("accretive", "accretive"), r_intervals=(RNEG,),
+            id="I02", name="negation-identity",
+            args=("accretive", "accretive"), r_intervals=(RNEG,), rel=_rel_negation,
             anchor="A #_r B = A (inv(A) #_(-r) inv(B)) A for accretive A, B, r in (-1,0)",
-            evaluate=_identity_eval(_rel_negation, "negation identity"),
         ),
         Check(
-            id="I03", name="inverse-mean-identity", kind="identity",
-            args=("accretive", "accretive"), r_intervals=(R01, R12, RNEG),
+            id="I03", name="inverse-mean-identity",
+            args=("accretive", "accretive"), r_intervals=(R01, R12, RNEG), rel=_rel_inverse_mean,
             anchor="inv(A #_r B) = inv(A) #_r inv(B) for accretive A, B on every branch of r",
-            evaluate=_identity_eval(_rel_inverse_mean, "inverse-mean identity"),
         ),
         Check(
-            id="I04", name="integral-vs-congruence", kind="identity",
+            id="I04", name="integral-vs-congruence",
             args=("accretive", "accretive"), r_intervals=(R01, R12, RNEG),
+            rel=_rel_integral_vs_congruence,
             anchor="integral form of A #_r B matches the congruence form on every branch of r",
-            evaluate=_identity_eval(_rel_integral_vs_congruence, "integral-vs-congruence"),
         ),
         Check(
-            id="I05", name="quad-vs-eigen", kind="identity",
-            args=("accretive",), r_intervals=(R01, R12, RNEG),
+            id="I05", name="quad-vs-eigen",
+            args=("accretive",), r_intervals=(R01, R12, RNEG), rel=_rel_quad_vs_eigen,
             anchor="quadrature power A^r matches eigendecomposition power on every branch of r",
-            evaluate=_identity_eval(_rel_quad_vs_eigen, "quad-vs-eigen"),
         ),
         Check(
-            id="I06", name="resolvent-split-identities", kind="identity",
-            args=("accretive",), n_aux_uniform=10,
+            id="I06", name="resolvent-split-identities",
+            args=("accretive",), n_aux_uniform=10, rel=_rel_resolvent_split,
             anchor="A^2 inv(sI+(1-s)A) = A/(1-s) - s/(1-s)*(I !_s A) and inv(sI+(1-s)A) = I/s - (1-s)/s*(I !_s A)",
-            evaluate=_identity_eval(_rel_resolvent_split, "resolvent split identities"),
         ),
     ]
     informational = [
         Check(
-            id="X23", name="radius-lower-neg-literal", kind="scalar",
+            id="X23", name="radius-lower-neg-literal",
             args=("pd", "sectorial"), r_intervals=(RNEG,), informational=True,
+            terms=_radius_cos6_lower("A", literal_negated_order=True),
             anchor="w(A #_(-r) B) >= cos(alpha)^6 * w(A)^(-(r+1)) * w(B)^r / w(inv(A)^2) for A > 0, B in S_alpha, r in (-1,0); statement-literal variant, no pass/fail weight",
-            evaluate=_claims(_radius_cos6_lower("A", literal_negated_order=True)),
         ),
     ]
     return main, informational
@@ -640,7 +620,7 @@ def _branch_ids(interval: tuple[float, float]) -> tuple[str, ...]:
     """The inequalities of one r-branch; those without an interval go to r01."""
     return tuple(
         c.id for c in _MAIN
-        if c.kind != "identity"
+        if not c.is_identity
         and (interval in c.r_intervals or (interval == R01 and not c.r_intervals))
     )
 
@@ -649,7 +629,7 @@ _SUITE_IDS = {
     "r01": _branch_ids(R01),
     "r12": _branch_ids(R12),
     "rneg": _branch_ids(RNEG),
-    "identities": tuple(c.id for c in _MAIN if c.kind == "identity"),
+    "identities": tuple(c.id for c in _MAIN if c.is_identity),
     "all": tuple(c.id for c in _MAIN),
 }
 

@@ -90,6 +90,10 @@ ENGINES = ("quad", "eigen")
 # matrix entries per batched solve (32 nodes at n = 64, every node of a
 # small matrix's rule), so the kernel's memory does not grow with the count
 BLOCK_ENTRIES = 32 * 64 * 64
+# the exponent gap between max|P| and max|Q| up to which the quadrature
+# kernel takes spec(P^{-1} Q) as it is: P^{-1} Q then overflows only for a
+# condition number of P past 1e230
+SHIFT_FREE = 256
 
 
 class NonAccretiveWarning(UserWarning):
@@ -111,6 +115,13 @@ def _off_cut(lam: np.ndarray) -> bool:
     scale = max(float(np.abs(lam).max(initial=0.0)), 1e-300)
     on_cut = (lam.real <= 1e-13 * scale) & (np.abs(lam.imag) <= 1e-13 * scale)
     return not bool(on_cut.any())
+
+
+def _finite(M: np.ndarray) -> np.ndarray:
+    """M, or a PreconditionError where it overflowed."""
+    if not np.isfinite(M).all():
+        raise PreconditionError("the result overflows the double range")
+    return M
 
 
 def harmonic_mean(A: np.ndarray, B: np.ndarray, s: float) -> np.ndarray:
@@ -139,9 +150,10 @@ def arithmetic_mean(A: np.ndarray, B: np.ndarray, r: float) -> np.ndarray:
 def principal_power_eigen(A: np.ndarray, r: float) -> np.ndarray:
     """A^r through the eigendecomposition and the principal branch of z^r.
 
-    Rejects spectra touching (-inf, 0] and eigenvector bases with condition
+    Rejects spectra touching (-inf, 0], eigenvector bases with condition
     number above EIG_COND_LIMIT (the result could not be certified to the
-    tolerances the rest of the package promises).
+    tolerances the rest of the package promises) and results past the double
+    range.
     """
     A = as_matrix(A)
     r = float(r)
@@ -155,7 +167,8 @@ def principal_power_eigen(A: np.ndarray, r: float) -> np.ndarray:
             raise PrincipalBranchError(
                 f"Hermitian input has eigenvalue {w[0]:.3e} on (-inf, 0]"
             )
-        return (V * w**r) @ V.conj().T
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _finite((V * w**r) @ V.conj().T)
     lam, V = np.linalg.eig(A)
     if not _off_cut(lam):
         raise PrincipalBranchError("spectrum touches (-inf, 0]; principal power undefined")
@@ -164,8 +177,16 @@ def principal_power_eigen(A: np.ndarray, r: float) -> np.ndarray:
         raise EigenbasisConditionError(
             f"eigenvector basis condition {cond:.3e} exceeds {EIG_COND_LIMIT:.0e}"
         )
-    powered = np.exp(r * np.log(lam))
-    return np.linalg.solve(V.T, ((V * powered).T)).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        powered = np.exp(r * np.log(lam))
+        return _finite(np.linalg.solve(V.T, ((V * powered).T)).T)
+
+
+def _scale_power(cb: float, shift: int, r: float) -> float:
+    """c^r for the centring scale c = cb * 2^shift, which may lie past the double range."""
+    if -1021 <= math.frexp(cb)[1] + shift <= 1024:
+        return math.ldexp(cb, shift) ** r
+    return math.exp(r * (math.log(cb) + shift * math.log(2.0)))
 
 
 def _resolvent_mean(
@@ -179,28 +200,44 @@ def _resolvent_mean(
     count their centred spectra need and doubles until every pair's
     truncation estimate is below TRUNCATION_TOL; `nodes` is the budget, and
     NodeBudgetError is raised when that takes more nodes.  A result past the
-    double range raises PreconditionError.
+    double range, or a failure of LAPACK, raises PreconditionError.
     """
     k = math.ceil(r)
     terms, centred = [], []
     for P, Q in pairs:
-        lam = np.linalg.eigvals(np.linalg.solve(P, Q))
+        # P^{-1} Q may pass the double range where max|P| and max|Q| lie far
+        # apart: there Q is shifted by a power of two to the size of P first,
+        # and c carries the shift.  Pairs of like sizes are not shifted, as
+        # LAPACK's eigenvalues move in the last bits under a shift.
+        shift = math.frexp(np.abs(Q).max())[1] - math.frexp(np.abs(P).max())[1]
+        Qb = Q
+        if abs(shift) > SHIFT_FREE:
+            # in two factors, as 2^shift itself may pass the double range
+            half = shift // 2
+            Qb = Q * math.ldexp(1.0, -half) * math.ldexp(1.0, half - shift)
+        else:
+            shift = 0
+        try:
+            lam = np.linalg.eigvals(np.linalg.solve(P, Qb))
+        except np.linalg.LinAlgError as exc:
+            raise PreconditionError(f"the quadrature kernel failed: {exc}") from None
         if not _off_cut(lam):
             raise PrincipalBranchError("spectrum touches (-inf, 0]; principal branch undefined")
         size = np.abs(lam)
         # scaled by a power of two first, so the product neither overflows
-        # nor underflows, and c is the same double wherever it did not
+        # nor underflows, and c = cb * 2^shift is the same double wherever it
+        # did not
         e = math.frexp(size.max())[1]
-        c = math.ldexp(math.sqrt(math.ldexp(size.min(), -e) * math.ldexp(size.max(), -e)), e)
-        centred.append(lam / c)
-        Qc = Q / c
-        terms.append((P, Qc, c, P if k == 0 else Qc, Qc if k == 2 else P))
+        cb = math.ldexp(math.sqrt(math.ldexp(size.min(), -e) * math.ldexp(size.max(), -e)), e)
+        centred.append(lam / cb)
+        Qc = Qb / cb
+        terms.append((P, Qc, cb, shift, P if k == 0 else Qc, Qc if k == 2 else P))
     # the count is set by the nearest pole over all pairs
     n_nodes = node_count(np.concatenate(centred), nodes)
     while True:
         rule = _cached_rule(r, n_nodes)
         means = []
-        for P, Qc, c, X, Y in terms:
+        for P, Qc, cb, shift, X, Y in terms:
             # row 0 sums the integral, the other rows the probed coefficients
             moments = np.zeros((len(rule.probes), Qc.size), dtype=Qc.dtype)
             block = max(1, BLOCK_ENTRIES // Qc.size)
@@ -208,18 +245,19 @@ def _resolvent_mean(
                 s = rule.nodes[lo:lo + block, None, None]
                 pencil = (1.0 - s) * Qc + s * P
                 # a leading axis marks Y as one matrix for every node
-                integrand = np.linalg.solve(pencil, Y[None])
+                try:
+                    integrand = np.linalg.solve(pencil, Y[None])
+                except np.linalg.LinAlgError as exc:
+                    raise PreconditionError(f"the quadrature kernel failed: {exc}") from None
                 moments += rule.probes[:, lo:lo + block] @ integrand.reshape(len(s), -1)
             sizes = np.linalg.norm(moments, axis=1)
             if not truncation_estimate(n_nodes, sizes[1:] / sizes[0]) <= TRUNCATION_TOL:
                 break
             try:
                 with np.errstate(over="raise"):
-                    means.append(c**r * (X @ moments[0].reshape(Qc.shape)))
+                    means.append(_scale_power(cb, shift, r) * (X @ moments[0].reshape(Qc.shape)))
             except ArithmeticError:
-                raise PreconditionError(
-                    f"the result overflows the double range (centring scale {c:.3e})"
-                ) from None
+                raise PreconditionError("the result overflows the double range") from None
         else:
             return means
         if 2 * n_nodes > nodes:
@@ -299,7 +337,12 @@ def geometric_mean(
         return A.copy() if r == 0.0 else B.copy()
     root = principal_power_eigen(A, 0.5)
     root_inv = inverse(root)
-    return root @ principal_power_eigen(root_inv @ B @ root_inv, r) @ root
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = root_inv @ B @ root_inv
+        # past the double range, or with no normal entry left to carry digits
+        if not np.finfo(float).tiny <= np.abs(inner).max() < np.inf:
+            raise PreconditionError("the congruence A^{-1/2} B A^{-1/2} leaves the double range")
+        return _finite(root @ principal_power_eigen(inner, r) @ root)
 
 
 def geometric_mean_integral(

@@ -249,7 +249,7 @@ def _admit(check: Check, config: RunConfig, mutate: Optional[str]) -> bool:
     if mutate not in (None, "flip"):
         raise PreconditionError(f"unknown mutation {mutate!r}; only 'flip' is supported")
     flip = mutate == "flip"
-    if flip and check.kind == "identity":
+    if flip and check.is_identity:
         raise PreconditionError(f"direction flip is undefined for identity check {check.id}")
     r0 = config.r_override
     if r0 is not None and check.r_intervals and not any(

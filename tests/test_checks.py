@@ -51,12 +51,11 @@ def test_catalog_shape():
     assert len(cs) == 35
     ids = [c.id for c in cs]
     assert len(set(ids)) == len(ids)
-    assert sum(1 for c in cs if c.kind == "identity") == 6
+    assert sum(1 for c in cs if c.is_identity) == 6
     for c in cs:
         assert c.anchor.strip()
-        assert c.kind in ("loewner", "scalar", "membership", "identity")
         assert set(c.r_intervals) <= INTERVALS
-        assert callable(c.evaluate)
+        assert callable(c.rel if c.is_identity else c.terms)
 
 
 def test_informational_separate():
@@ -68,7 +67,8 @@ def test_informational_separate():
 
 def test_check_by_id_round_trip():
     c = check_by_id("C07")
-    assert c.id == "C07" and c.kind == "loewner"
+    assert c.id == "C07" and not c.is_identity
+    assert check_by_id("I01").is_identity
     assert check_by_id("X23").informational
     with pytest.raises(PreconditionError, match="C01"):
         check_by_id("C99")
@@ -83,13 +83,13 @@ def test_suites_partition_catalog():
     assert len(suite_ids("identities")) == 6
     # each suite holds exactly the checks its r-intervals assign to it, in catalog order
     main = catalog()
-    inequalities = [c for c in main if c.kind != "identity"]
+    inequalities = [c for c in main if not c.is_identity]
     for name, interval in (("r12", (1.0, 2.0)), ("rneg", (-1.0, 0.0))):
         assert suite_ids(name) == tuple(c.id for c in inequalities if interval in c.r_intervals)
     assert suite_ids("r01") == tuple(
         c.id for c in inequalities if (0.0, 1.0) in c.r_intervals or not c.r_intervals
     )
-    assert suite_ids("identities") == tuple(c.id for c in main if c.kind == "identity")
+    assert suite_ids("identities") == tuple(c.id for c in main if c.is_identity)
     with pytest.raises(PreconditionError):
         suite_ids("r23")
 
@@ -226,6 +226,38 @@ def test_reversed_claim_equals_flipped_mirror(cid, mirror):
         assert mirrored.margin_strict == flipped.margin_strict
 
 
+@pytest.mark.parametrize("check", [c for c in catalog() + informational_catalog()
+                                   if not c.is_identity], ids=lambda c: c.id)
+def test_reverse_is_the_flip(check):
+    """A claim is data: the same terms with `reverse` toggled evaluate, unflipped,
+    to the bits of the flipped claim."""
+    cfg = small_config()
+    ctx = EvalContext(nodes=cfg.nodes)
+    mirror = dataclasses.replace(check, reverse=not check.reverse)
+    for trial in range(3):
+        inst = sample_instance(check, cfg, 4000 + trial, trial)
+        assert mirror.evaluate(inst, ctx, False) == check.evaluate(inst, ctx, True)
+
+
+def test_identity_refuses_a_flip():
+    check = check_by_id("I01")
+    cfg = small_config()
+    inst = sample_instance(check, cfg, 5000, 0)
+    with pytest.raises(PreconditionError, match="I01"):
+        check.evaluate(inst, EvalContext(nodes=cfg.nodes), True)
+
+
+def test_check_holds_one_claim():
+    """A check holds terms (and maybe reverse) or an identity's rel, never both."""
+    base = dict(id="T01", name="t", anchor="t", args=("pd",))
+    terms, rel = checks._inv_real_sandwich, checks._rel_quad_vs_eigen
+    for bad in (dict(), dict(terms=terms, rel=rel), dict(rel=rel, reverse=True)):
+        with pytest.raises(PreconditionError, match="T01"):
+            checks.Check(**base, **bad)
+    assert not checks.Check(**base, terms=terms, reverse=True).is_identity
+    assert checks.Check(**base, rel=rel).is_identity
+
+
 def test_flipped_scalar_claim_negates_both_margins():
     """C05 is one scalar term whose lhs depends on the angle: a flip negates
     the margin at the requested angle and at the realized one."""
@@ -321,12 +353,12 @@ def test_flipped_run_evaluates_each_trial_once():
     calls = []
     check = check_by_id("C09")
 
-    def counted(inst, ctx, flip):
+    def counted(inst, ctx):
         calls.append(ctx.nodes)
-        return check.evaluate(inst, ctx, flip)
+        return check.terms(inst, ctx)
 
     cfg = small_config(trials=12)
-    res = run_check(dataclasses.replace(check, evaluate=counted), cfg, mutate="flip")
+    res = run_check(dataclasses.replace(check, terms=counted), cfg, mutate="flip")
     assert res.violations == 12
     assert calls == [cfg.nodes] * 12
 
@@ -355,11 +387,11 @@ def test_numerical_refusals_are_trial_errors(refusal, monkeypatch):
     evaluated once, and a replay of its seed returns the same reason."""
     calls = []
 
-    def raising(inst, ctx, flip):
+    def raising(inst, ctx):
         calls.append(inst.trial)
         raise refusal("refused")
 
-    check = dataclasses.replace(check_by_id("C09"), evaluate=raising)
+    check = dataclasses.replace(check_by_id("C09"), terms=raising)
     monkeypatch.setattr(runner, "suite_checks", lambda suite: [check])
     monkeypatch.setattr(runner, "check_by_id", lambda check_id: check)
     cfg = small_config(trials=3)
@@ -446,17 +478,17 @@ def test_paired_claims_build_one_rule_per_trial(cid, monkeypatch):
     check = check_by_id(cid)
     per_trial = []
 
-    def counted(inst, ctx, flip):
+    def counted(inst, ctx):
         means._cached_rule.cache_clear()
         before = len(builds)
         try:
-            return check.evaluate(inst, ctx, flip)
+            return check.terms(inst, ctx)
         finally:
             per_trial.append(len(builds) - before)
 
     monkeypatch.setattr(means, "quadrature_rule", counted_build)
     try:
-        res = run_check(dataclasses.replace(check, evaluate=counted), RunConfig(seed=7, trials=20))
+        res = run_check(dataclasses.replace(check, terms=counted), RunConfig(seed=7, trials=20))
     finally:
         means._cached_rule.cache_clear()
     assert res.trials == 20 and not res.errors

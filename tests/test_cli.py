@@ -131,9 +131,16 @@ def test_compute_mean_off_cone_inner_prints_no_warning(tmp_path, capsys):
     assert out == dumps_matrix(geometric_mean(A, B, 0.5, engine="eigen")) + "\n"
 
 
-def test_compute_numpy_warning_is_one_line(tmp_path, capsys):
-    """NumPy's floating-point warnings still reach the compute hook: each
-    prints as one stderr line, ahead of the refusal of the overflowed result."""
+def test_compute_numpy_warning_is_one_line(tmp_path, capsys, monkeypatch):
+    """A warning that reaches the compute hook prints as one stderr line,
+    ahead of the refusal.  No route warns on this input any more, so a stub
+    route warns as NumPy's overflow in power once did."""
+
+    def warning_route(A, r, engine):
+        warnings.warn("overflow encountered in power", RuntimeWarning)
+        raise PreconditionError("the result overflows the double range")
+
+    monkeypatch.setattr(cli, "principal_power", warning_route)
     path = put(tmp_path, "big.json", np.diag([1e300, 1e295]))
     with warnings.catch_warnings():
         # the filters of a fresh interpreter, not the test config's
@@ -145,6 +152,29 @@ def test_compute_numpy_warning_is_one_line(tmp_path, capsys):
     assert warned[0] == "warning: overflow encountered in power"
     assert all(line.startswith("warning: ") for line in warned)
     assert refusal.startswith("precondition failed: ")
+
+
+@pytest.mark.parametrize("engine", ["quad", "eigen"])
+def test_compute_power_past_the_double_range_is_one_refusal(tmp_path, capsys, engine):
+    path = put(tmp_path, "big.json", np.diag([1e300, 1e295]))
+    code, out, err = run_cli(capsys, "compute", "power", path, "--r", "1.5", "--engine", engine)
+    assert (code, out) == (2, "")
+    assert err == "precondition failed: the result overflows the double range\n"
+
+
+def test_compute_mean_of_a_pair_past_the_double_range(tmp_path, capsys):
+    """A = I/1e160, B = I*1e160: A^{-1} B is 1e320 I, but A #_{1/2} B = I.  The
+    quad route balances the pair and returns I; the eigen route's congruence
+    leaves the double range, and it refuses with one line that names it."""
+    a = put(tmp_path, "a.json", np.eye(2) / 1e160)
+    b = put(tmp_path, "b.json", np.eye(2) * 1e160)
+    code, out, err = run_cli(capsys, "compute", "mean", a, b, "--r", "0.5")
+    assert (code, err) == (0, "")
+    np.testing.assert_allclose(loads_matrix(out), np.eye(2), rtol=0, atol=1e-14)
+    code, out, err = run_cli(capsys, "compute", "mean", a, b, "--r", "0.5", "--engine", "eigen")
+    assert (code, out) == (2, "")
+    assert err.startswith("precondition failed: the congruence A^{-1/2} B A^{-1/2} leaves")
+    assert len(err.splitlines()) == 1 and "must be finite" not in err
 
 
 def test_compute_sector(tmp_path, capsys):

@@ -407,6 +407,37 @@ def test_quad_result_past_the_double_range_is_refused():
         assert rel_err(principal_power_quad(np.diag(d), 0.5), np.diag(np.sqrt(d))) <= 1e-12
 
 
+@pytest.mark.parametrize("engine", ["quad", "eigen"])
+def test_power_past_the_double_range_is_refused_by_both_engines(engine):
+    # diag takes the eigen engine's eigh path, the triangle its eig path
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for A in (np.diag([1e300, 1e295]), np.array([[1e300, 1e299], [0.0, 1e295]])):
+            with pytest.raises(PreconditionError, match="overflows the double range"):
+                principal_power(A, 1.5, engine=engine)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+def test_quad_mean_of_a_pair_past_the_double_range(scale):
+    # spec(A^{-1} B) = scale^-2 lies past the double range, but A #_r B does not
+    A, B = np.eye(3) * scale, np.eye(3) / scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.abs(geometric_mean_integral(A, B, 0.5) - np.eye(3)).max() <= 1e-14
+        assert rel_err(geometric_mean_integral(A, B, 0.25), np.eye(3) * scale**0.5) <= 1e-14
+        with pytest.raises(PreconditionError, match="overflows the double range"):
+            geometric_mean_integral(B, A, 1.5 if scale > 1 else -0.5)
+        with pytest.raises(PreconditionError, match="congruence"):
+            geometric_mean(A, B, 0.5, engine="eigen")
+
+
+def test_kernel_refuses_a_lapack_failure():
+    # a singular P reaches LAPACK only through the kernel's trusted entry
+    P, Q = np.diag([1.0, 0.0]).astype(complex), np.eye(2, dtype=complex)
+    with pytest.raises(PreconditionError, match="quadrature kernel failed"):
+        _resolvent_mean([(P, Q)], 0.5, 64)
+
+
 # ------------------------------------------------------------ integral form
 
 
