@@ -90,10 +90,6 @@ ENGINES = ("quad", "eigen")
 # matrix entries per batched solve (32 nodes at n = 64, every node of a
 # small matrix's rule), so the kernel's memory does not grow with the count
 BLOCK_ENTRIES = 32 * 64 * 64
-# the exponent gap between max|P| and max|Q| up to which the quadrature
-# kernel takes spec(P^{-1} Q) as it is: P^{-1} Q then overflows only for a
-# condition number of P past 1e230
-SHIFT_FREE = 256
 
 
 class NonAccretiveWarning(UserWarning):
@@ -182,11 +178,27 @@ def principal_power_eigen(A: np.ndarray, r: float) -> np.ndarray:
         return _finite(np.linalg.solve(V.T, ((V * powered).T)).T)
 
 
-def _scale_power(cb: float, shift: int, r: float) -> float:
-    """c^r for the centring scale c = cb * 2^shift, which may lie past the double range."""
-    if -1021 <= math.frexp(cb)[1] + shift <= 1024:
-        return math.ldexp(cb, shift) ** r
-    return math.exp(r * (math.log(cb) + shift * math.log(2.0)))
+def _scaled(X: np.ndarray, S: np.ndarray, cb: float, shift: int, r: float) -> np.ndarray:
+    """c^r X S for the centring scale c = cb * 2^shift, which may lie past the
+    double range, as may c^r.
+
+    2^(shift r) is split into 2^n 2^f, with n an integer and f in [0, 1), and
+    2^n is applied to the product last, so c^r may lie past the double range
+    where c^r X S does not.  A result that overflows, or that underflows to
+    zero from a nonzero product, raises PreconditionError.
+    """
+    a, b = r.as_integer_ratio()
+    n, rem = divmod(shift * a, b)
+    try:
+        with np.errstate(over="raise"):
+            M = (cb**r * 2.0 ** (rem / b)) * (X @ S)
+            # on the real and imaginary parts, as ldexp takes no complex
+            out = np.ldexp(M.view(np.float64), n).view(np.complex128)
+    except ArithmeticError:
+        raise PreconditionError("the result overflows the double range") from None
+    if not out.any() and M.any():
+        raise PreconditionError("the result underflows the double range")
+    return out
 
 
 def _resolvent_mean(
@@ -206,17 +218,14 @@ def _resolvent_mean(
     terms, centred = [], []
     for P, Q in pairs:
         # P^{-1} Q may pass the double range where max|P| and max|Q| lie far
-        # apart: there Q is shifted by a power of two to the size of P first,
-        # and c carries the shift.  Pairs of like sizes are not shifted, as
-        # LAPACK's eigenvalues move in the last bits under a shift.
-        shift = math.frexp(np.abs(Q).max())[1] - math.frexp(np.abs(P).max())[1]
-        Qb = Q
-        if abs(shift) > SHIFT_FREE:
-            # in two factors, as 2^shift itself may pass the double range
-            half = shift // 2
-            Qb = Q * math.ldexp(1.0, -half) * math.ldexp(1.0, half - shift)
-        else:
-            shift = 0
+        # apart, so Q is shifted by a power of two to the size of P first,
+        # and c carries the shift.  The power is even, as LAPACK's
+        # eigenvalues scale exactly under an even power and move in the last
+        # bits under an odd one; it is applied in two factors, as 2^-shift
+        # itself may pass the double range.
+        shift = 2 * int((math.frexp(np.abs(Q).max())[1] - math.frexp(np.abs(P).max())[1]) / 2)
+        half = shift // 2
+        Qb = Q * math.ldexp(1.0, -half) * math.ldexp(1.0, half - shift)
         try:
             lam = np.linalg.eigvals(np.linalg.solve(P, Qb))
         except np.linalg.LinAlgError as exc:
@@ -225,8 +234,7 @@ def _resolvent_mean(
             raise PrincipalBranchError("spectrum touches (-inf, 0]; principal branch undefined")
         size = np.abs(lam)
         # scaled by a power of two first, so the product neither overflows
-        # nor underflows, and c = cb * 2^shift is the same double wherever it
-        # did not
+        # nor underflows, and cb is the same double wherever it did not
         e = math.frexp(size.max())[1]
         cb = math.ldexp(math.sqrt(math.ldexp(size.min(), -e) * math.ldexp(size.max(), -e)), e)
         centred.append(lam / cb)
@@ -253,11 +261,7 @@ def _resolvent_mean(
             sizes = np.linalg.norm(moments, axis=1)
             if not truncation_estimate(n_nodes, sizes[1:] / sizes[0]) <= TRUNCATION_TOL:
                 break
-            try:
-                with np.errstate(over="raise"):
-                    means.append(_scale_power(cb, shift, r) * (X @ moments[0].reshape(Qc.shape)))
-            except ArithmeticError:
-                raise PreconditionError("the result overflows the double range") from None
+            means.append(_scaled(X, moments[0].reshape(Qc.shape), cb, shift, r))
         else:
             return means
         if 2 * n_nodes > nodes:

@@ -431,6 +431,26 @@ def test_quad_mean_of_a_pair_past_the_double_range(scale):
             geometric_mean(A, B, 0.5, engine="eigen")
 
 
+@pytest.mark.parametrize(
+    "a, b, target",
+    [(1e300, 1e-100, 1e-300), (1e-300, 1e100, 1e300), (1e300, 1e-300, "underflows"),
+     (1e-300, 1e300, "overflows")],
+)
+def test_quad_mean_scales_the_product_not_c_to_the_r(a, b, target):
+    # a #_{3/2} b = a^{-1/2} b^{3/2}; c^{3/2} = (b/a)^{3/2} lies past the
+    # double range in every case, so only the result decides
+    A, B = np.eye(2) * a, np.eye(2) * b
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(target, str):
+            with pytest.raises(PreconditionError, match=f"{target} the double range"):
+                geometric_mean_integral(A, B, 1.5)
+        else:
+            # entrywise, as a Frobenius norm near 1e300 overflows
+            got = geometric_mean_integral(A, B, 1.5) / target
+            assert np.abs(got - np.eye(2)).max() <= 1e-14
+
+
 def test_kernel_refuses_a_lapack_failure():
     # a singular P reaches LAPACK only through the kernel's trusted entry
     P, Q = np.diag([1.0, 0.0]).astype(complex), np.eye(2, dtype=complex)
