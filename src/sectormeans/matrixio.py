@@ -2,8 +2,12 @@
 
 Schema: UTF-8 JSON object {"n": int, "data": n x n array of [re, im]
 doubles}.  Explicit re/im pairs keep the format locale-proof and make
-write-then-parse round-trips bit-exact for finite doubles (json emits the
-shortest representation that reparses to the same double).
+write-then-parse round-trips bit-exact for finite doubles (orjson emits the
+shortest representation that reparses to the same double, and any JSON
+reader turns it back into that double).
+
+orjson reads and writes the files.  It is imported on the first call, not
+with this module, so `import sectormeans` and `verify` do not load it.
 """
 
 from __future__ import annotations
@@ -23,6 +27,13 @@ __all__ = ["MatrixFormatError", "parse_matrix", "write_matrix", "loads_matrix", 
 
 class MatrixFormatError(PreconditionError):
     """Raised when a matrix file does not match the schema."""
+
+
+# orjson builds nested lists by recursion in C, about 60 bytes of stack a
+# level, so a text nesting 9000 deep overflows a 512 KB thread stack and
+# kills the process.  A text nests no deeper than it has brackets, and one
+# with at most this many holds any matrix up to n = 70; json reads the rest.
+_ORJSON_MAX_BRACKETS = 5000
 
 
 def _entry(value, i: int, j: int) -> complex:
@@ -59,11 +70,9 @@ def _pairs(data: list, n: int) -> np.ndarray | None:
     return pairs.view(np.complex128).reshape(n, n)
 
 
-def loads_matrix(text: str) -> np.ndarray:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MatrixFormatError(f"invalid json at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+def _checked(obj) -> np.ndarray:
+    """The matrix a parsed file holds, or a MatrixFormatError naming the first
+    place where it leaves the schema."""
     if not isinstance(obj, dict):
         raise MatrixFormatError(f"top level must be an object, got {type(obj).__name__}")
     missing = {"n", "data"} - set(obj)
@@ -90,11 +99,35 @@ def loads_matrix(text: str) -> np.ndarray:
     return out
 
 
+def loads_matrix(text: str) -> np.ndarray:
+    import orjson
+
+    raw = text.encode("utf-8", "surrogatepass")
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    if np.count_nonzero(codes == ord("[")) + np.count_nonzero(codes == ord("{")) <= _ORJSON_MAX_BRACKETS:
+        try:
+            return _checked(orjson.loads(raw))
+        except (orjson.JSONDecodeError, MatrixFormatError):
+            pass
+    # orjson refuses some text that json reads (NaN, Infinity, numbers past
+    # the double range, lone surrogates, a BOM) and reads an integer of 2^64
+    # or more as a float, so json makes every refusal again, with its message
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MatrixFormatError(f"invalid json at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    return _checked(obj)
+
+
 def dumps_matrix(A: np.ndarray) -> str:
-    A = as_matrix(A)
-    rows = zip(A.real.tolist(), A.imag.tolist())
-    data = [[[x, y] for x, y in zip(re, im)] for re, im in rows]
-    return json.dumps({"n": A.shape[0], "data": data})
+    import orjson
+
+    # as_matrix refuses non-finite entries, which orjson would write as null;
+    # orjson writes only C-contiguous arrays
+    A = np.ascontiguousarray(as_matrix(A))
+    n = A.shape[0]
+    data = A.view(np.float64).reshape(n, n, 2)
+    return orjson.dumps({"n": n, "data": data}, option=orjson.OPT_SERIALIZE_NUMPY).decode()
 
 
 def parse_matrix(path: Union[str, os.PathLike]) -> np.ndarray:

@@ -598,27 +598,30 @@ def test_python_dash_m_runs_cli(tmp_path):
 
 
 # In a fresh interpreter: import the package and the CLI, run one command,
-# then report the exit code and whether SciPy was loaded.
+# then report the exit code and whether SciPy and orjson were loaded.
 IMPORT_PROBE = """
 import sys
 import sectormeans, sectormeans.cli
 code = sectormeans.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(code, "scipy" in sys.modules)
+print(code, "scipy" in sys.modules, "orjson" in sys.modules)
 """
 
 
-@pytest.mark.parametrize("argv, loads_scipy", [
-    ((), False),
-    (("compute", "sector", "A"), False),
-    (("compute", "norm", "A"), False),
-    (("compute", "power", "A", "--r", "0.5", "--engine", "eigen"), False),
-    (("compute", "mean", "A", "A", "--r", "1.5", "--engine", "eigen"), False),
-    (("compute", "power", "A", "--r", "0.5"), True),
-    (("compute", "wradius", "A"), True),
-], ids=["import", "sector", "norm", "power-eigen", "mean-eigen", "power-quad", "wradius"])
-def test_scipy_loads_only_on_first_use(tmp_path, argv, loads_scipy):
-    # SciPy serves only the Gauss-Jacobi rules and the radius pencil; a
-    # top-level import of it anywhere in the package would fail this
+@pytest.mark.parametrize("argv, loads_scipy, loads_orjson", [
+    ((), False, False),
+    (("verify", "r01", "--check", "C01", "--trials", "2", "--dims", "2..3", "--format", "csv"),
+     False, False),
+    (("compute", "sector", "A"), False, True),
+    (("compute", "norm", "A"), False, True),
+    (("compute", "power", "A", "--r", "0.5", "--engine", "eigen"), False, True),
+    (("compute", "mean", "A", "A", "--r", "1.5", "--engine", "eigen"), False, True),
+    (("compute", "power", "A", "--r", "0.5"), True, True),
+    (("compute", "wradius", "A"), True, True),
+], ids=["import", "verify", "sector", "norm", "power-eigen", "mean-eigen", "power-quad", "wradius"])
+def test_scipy_loads_only_on_first_use(tmp_path, argv, loads_scipy, loads_orjson):
+    # SciPy serves only the Gauss-Jacobi rules and the radius pencil, and
+    # orjson only the matrix files; a top-level import of either anywhere in
+    # the package would fail this
     A = put(tmp_path, "a.json", [[2.0, 1.0 + 0.5j, 0.0], [0.0, 3.0, 0.5j], [0.2, 0.0, 1.5]])
     argv = [A if arg == "A" else arg for arg in argv]
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -629,4 +632,4 @@ def test_scipy_loads_only_on_first_use(tmp_path, argv, loads_scipy):
         cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"0 {loads_scipy}"
+    assert proc.stdout.splitlines()[-1] == f"0 {loads_scipy} {loads_orjson}"

@@ -1,8 +1,15 @@
 """JSON matrix serialization: exact round-trips and precise error reporting."""
 
 import json
+import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -71,7 +78,7 @@ def test_entry_validation_names_position():
 def _per_entry_text(A):
     n = A.shape[0]
     data = [[[float(A[i, j].real), float(A[i, j].imag)] for j in range(n)] for i in range(n)]
-    return json.dumps({"n": n, "data": data})
+    return orjson.dumps({"n": n, "data": data}).decode()
 
 
 @pytest.mark.parametrize("A", [
@@ -80,7 +87,73 @@ def _per_entry_text(A):
     np.random.default_rng(64).normal(size=(64, 64, 2)) @ [1.0, 1.0j],
 ], ids=["extremes", "negative-zeros", "random64"])
 def test_dumps_matches_per_entry_text(A):
-    assert dumps_matrix(A) == _per_entry_text(A)
+    text = dumps_matrix(A)
+    assert text == _per_entry_text(A)
+    # any JSON reader gets the same doubles back, signs of zeros included
+    back = np.array(json.loads(text)["data"])
+    assert back.tobytes() == np.stack([A.real, A.imag], axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("order", ["fortran", "transposed"])
+def test_dumps_non_contiguous_matches_c_copy(order):
+    A = np.random.default_rng(5).normal(size=(5, 5, 2)) @ [1.0, 1.0j]
+    M = np.asfortranarray(A) if order == "fortran" else A.T
+    assert not M.flags.c_contiguous
+    assert dumps_matrix(M) == dumps_matrix(np.ascontiguousarray(M))
+    assert np.array_equal(loads_matrix(dumps_matrix(M)), M)
+
+
+# Inputs that orjson refuses or reads differently from json, with the
+# messages the json-only reader gave them
+@pytest.mark.parametrize("text, message", [
+    ('{"n": 2, "data": [[[1, 0], [0, 0]], [[Infinity, 0], [1, 0]]]}',
+     "data[1][0] has non-finite entry [inf, 0.0]"),
+    ('{"n": 2, "data": [[[1, 0], [0, -Infinity]], [[0, 0], [1, 0]]]}',
+     "data[0][1] has non-finite entry [0.0, -inf]"),
+    ('{"n": 2, "data": [[[1, 0], [0, 0]], [[0, 0], [1e400, 0]]]}',
+     "data[1][1] has non-finite entry [inf, 0.0]"),
+    ('{"n": 18446744073709551616, "data": [[[1, 0]]]}',
+     "field 'data' must be a list of 18446744073709551616 rows, got 1"),
+    ('\ufeff{"n": 1, "data": [[[1, 0]]]}',
+     "invalid json at line 1 column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+    ('{"n": 1, "data": [[["\\ud800", 0]]]}',
+     "data[0][0] must be a [re, im] pair of numbers, got ['\\ud800', 0]"),
+    ('{"n": 1, "data": [[[1, 0]]]} []',
+     "invalid json at line 1 column 30: Extra data"),
+], ids=["infinity", "minus-infinity", "1e400", "n-2^64", "bom", "lone-surrogate", "trailing-text"])
+def test_refusals_keep_their_messages(text, message):
+    with pytest.raises(MatrixFormatError) as exc:
+        loads_matrix(text)
+    assert str(exc.value) == message
+
+
+def _decimals():
+    """Decimal strings that are not the shortest repr of their double."""
+    rng = random.Random(2024)
+    out = ["2.4703282292062328e-324", "2.2250738585072011e-308",
+           "1.7976931348623158e308", "9007199254740993", "9007199254740993.0"]
+    for digits in range(17, 26):
+        for _ in range(20):
+            mantissa = "".join(rng.choice("0123456789") for _ in range(digits - 1))
+            out.append(f"{'-' * rng.randint(0, 1)}{rng.randint(1, 9)}.{mantissa}e{rng.randint(-300, 300)}")
+    while len(out) < 5 + 9 * 20 + 2000:
+        digits = rng.randint(1, 25)
+        mantissa = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(digits - 1))
+        text = f"{'-' * rng.randint(0, 1)}{mantissa[0]}.{mantissa[1:] or '0'}e{rng.randint(-330, 308)}"
+        if math.isfinite(float(text)):
+            out.append(text)
+    return out
+
+
+def test_parsing_matches_float_on_long_decimals():
+    strings = _decimals()
+    n = math.isqrt(len(strings) // 2) + 1
+    strings += ["0"] * (2 * n * n - len(strings))
+    entries = [f"[{strings[k]}, {strings[k + 1]}]" for k in range(0, len(strings), 2)]
+    rows = [f"[{', '.join(entries[i * n:(i + 1) * n])}]" for i in range(n)]
+    M = loads_matrix(f'{{"n": {n}, "data": [{", ".join(rows)}]}}')
+    expected = np.array([float(s) for s in strings]).reshape(n, n, 2)
+    assert M.view(np.float64).reshape(n, n, 2).tobytes() == expected.tobytes()
 
 
 def test_schema_refuses_numeric_strings_and_huge_integers():
@@ -97,6 +170,30 @@ def test_file_round_trip_64(tmp_path):
     path = tmp_path / "m64.json"
     write_matrix(A, path)
     assert np.array_equal(parse_matrix(path), A)
+
+
+def test_matrix_past_the_orjson_bracket_bound_round_trips():
+    A = np.random.default_rng(71).normal(size=(71, 71, 2)) @ [1.0, 1.0j]
+    assert np.array_equal(loads_matrix(dumps_matrix(A)), A)
+
+
+def test_deep_nesting_raises_rather_than_crashing():
+    # orjson recurses in C and would overflow the stack at this depth; json
+    # stops at Python's recursion limit. A fresh process, so that a crash
+    # fails this test and not the run.
+    probe = (
+        "from sectormeans import loads_matrix\n"
+        "deep = '[' * 200000 + ']' * 200000\n"
+        "try:\n"
+        "    loads_matrix('{\"n\": 1, \"data\": [[[1, 0]]], \"x\": ' + deep + '}')\n"
+        "except RecursionError:\n"
+        "    print('RecursionError')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "RecursionError\n"), proc.stderr
 
 
 def test_file_round_trip(tmp_path):
