@@ -13,8 +13,8 @@ through it.
 
 `lapack(name)` is the one way into SciPy.  It imports `scipy.linalg.lapack`
 on its first call and caches each routine, so `import sectormeans` does not
-load SciPy; only the Gauss-Jacobi rules (`dstevd`) and the numerical radius
-(`zggev`) call it.
+load SciPy; only the Gauss-Jacobi rules (`dstevd`), the quadrature kernel's
+Schur form (`zgees`) and the numerical radius (`zggev`) call it.
 """
 
 from __future__ import annotations

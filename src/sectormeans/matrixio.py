@@ -107,16 +107,19 @@ def loads_matrix(text: str) -> np.ndarray:
     if np.count_nonzero(codes == ord("[")) + np.count_nonzero(codes == ord("{")) <= _ORJSON_MAX_BRACKETS:
         try:
             return _checked(orjson.loads(raw))
-        except (orjson.JSONDecodeError, MatrixFormatError):
+        except (orjson.JSONDecodeError, MatrixFormatError, RecursionError):
             pass
     # orjson refuses some text that json reads (NaN, Infinity, numbers past
     # the double range, lone surrogates, a BOM) and reads an integer of 2^64
     # or more as a float, so json makes every refusal again, with its message
     try:
-        obj = json.loads(text)
+        return _checked(json.loads(text))
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(f"invalid json at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    return _checked(obj)
+    except RecursionError:
+        # json reads nested arrays by recursion, and the message of a bad
+        # entry is its repr, both up to Python's recursion limit
+        raise MatrixFormatError("invalid json: nested too deeply to read") from None
 
 
 def dumps_matrix(A: np.ndarray) -> str:

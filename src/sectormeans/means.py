@@ -24,16 +24,19 @@ accepts a rule's result only when the decay of the integrand's probed
 Jacobi coefficients puts its error below TRUNCATION_TOL, and doubles the
 count otherwise.  The `nodes` argument of every quadrature route is the
 most it may use; past that budget the route raises NodeBudgetError instead
-of returning digits it cannot certify.  Each node costs one linear solve,
-and the nodes go through a batched `solve` in blocks of at most
-BLOCK_ENTRIES matrix entries.  The kernel takes a list of pairs at one
-order and integrates them all with one rule, at the largest count their
-spectra need, accepted only when every pair's estimate passes; a check
-that compares two means at the same r builds one rule.  The mean A #_r B
-is the kernel on (A, B), its direct integral form, which inverts nothing;
-the power A^r is the kernel on (I, A).  Both routes have the kernel's one
-domain rule, read off the spectrum it already computes: P^{-1} Q with an
-eigenvalue within 1e-13 max|lambda| of (-inf, 0] raises PrincipalBranchError.
+of returning digits it cannot certify.  The nodes run in the Schur basis
+of P^{-1} Q, one LAPACK zgees per pair, whose diagonal is the spectrum
+above: there every node's pencil is upper triangular, and one batched
+back-substitution inverts a block of nodes of at most BLOCK_ENTRIES matrix
+entries.  The kernel takes a list of pairs at one order and integrates them
+all with one rule, at the largest count their spectra need, accepted only
+when every pair's estimate passes; a check that compares two means at the
+same r builds one rule.  The mean A #_r B is the kernel on (A, B), its
+direct integral form, with no congruence and no fractional power; the
+power A^r is the kernel on (I, A), which needs no solve with I.  Both
+routes have the kernel's one domain rule, read off the spectrum it already
+computes: P^{-1} Q with an eigenvalue within 1e-13 max|lambda| of (-inf, 0]
+raises PrincipalBranchError.
 
 The eigen route diagonalizes and applies the principal branch of z^r on the
 spectrum; the mean A #_r B is then the congruence
@@ -44,7 +47,7 @@ engine, and `principal_power` and `geometric_mean` pick it by name.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -53,6 +56,7 @@ from .linalg import (
     as_matrix,
     inverse,
     is_hermitian,
+    lapack,
 )
 from .quadrature import (
     MAX_NODES,
@@ -87,8 +91,8 @@ __all__ = [
 EIG_COND_LIMIT = 1e8
 
 ENGINES = ("quad", "eigen")
-# matrix entries per batched solve (32 nodes at n = 64, every node of a
-# small matrix's rule), so the kernel's memory does not grow with the count
+# matrix entries per block of node inverses (32 nodes at n = 64, every node
+# of a small matrix's rule), so the kernel's memory does not grow with the count
 BLOCK_ENTRIES = 32 * 64 * 64
 
 
@@ -178,20 +182,25 @@ def principal_power_eigen(A: np.ndarray, r: float) -> np.ndarray:
         return _finite(np.linalg.solve(V.T, ((V * powered).T)).T)
 
 
-def _scaled(X: np.ndarray, S: np.ndarray, cb: float, shift: int, r: float) -> np.ndarray:
-    """c^r X S for the centring scale c = cb * 2^shift, which may lie past the
-    double range, as may c^r.
+def _scaled(
+    X: np.ndarray | None, Z: np.ndarray, S: np.ndarray, cb: float, shift: int, r: float
+) -> np.ndarray:
+    """c^r X Z S Z* for the centring scale c = cb * 2^shift, which may lie
+    past the double range, as may c^r; X None stands for the identity.
 
     2^(shift r) is split into 2^n 2^f, with n an integer and f in [0, 1), and
     2^n is applied to the product last, so c^r may lie past the double range
-    where c^r X S does not.  A result that overflows, or that underflows to
-    zero from a nonzero product, raises PreconditionError.
+    where c^r X Z S Z* does not.  A result that overflows, or that underflows
+    to zero from a nonzero product, raises PreconditionError.
     """
     a, b = r.as_integer_ratio()
     n, rem = divmod(shift * a, b)
     try:
         with np.errstate(over="raise"):
-            M = (cb**r * 2.0 ** (rem / b)) * (X @ S)
+            M = Z @ S @ Z.conj().T
+            if X is not None:
+                M = X @ M
+            M *= cb**r * 2.0 ** (rem / b)
             # on the real and imaginary parts, as ldexp takes no complex
             out = np.ldexp(M.view(np.float64), n).view(np.complex128)
     except ArithmeticError:
@@ -201,18 +210,54 @@ def _scaled(X: np.ndarray, S: np.ndarray, cb: float, shift: int, r: float) -> np
     return out
 
 
+def _unordered(z):
+    """zgees's eigenvalue selector; with no ordering asked, LAPACK never calls it."""
+
+
+@cache
+def _gees_lwork(size: int) -> int:
+    """zgees's workspace at this size, queried as scipy.linalg.schur does."""
+    zero = np.zeros((size, size), dtype=np.complex128)
+    return int(lapack("zgees")(_unordered, zero, lwork=-1)[-2][0].real)
+
+
+def _triangular_inverses(T: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """((1-s_j) T + s_j I)^{-1} for every node s_j, T upper triangular.
+
+    One back-substitution serves all nodes: row i of the inverse is
+    -(1-s_j) T[i, i+1:] times its lower rows, over the pivot, so each of the
+    n-1 row steps is one batched product.
+    """
+    n, m = len(T), len(s)
+    a = (1.0 - s)[:, None]
+    X = np.zeros((m, n, n), dtype=np.complex128)
+    pivots_inv = X.reshape(m, -1)[:, :: n + 1]  # a view of the diagonals
+    np.divide(1.0, a * np.diagonal(T) + s[:, None], out=pivots_inv)
+    coef = -a * pivots_inv
+    for i in range(n - 2, -1, -1):
+        np.multiply(coef[:, i, None], T[i, i + 1:] @ X[:, i + 1:, i + 1:], out=X[:, i, i + 1:])
+    return X
+
+
 def _resolvent_mean(
-    pairs: list[tuple[np.ndarray, np.ndarray]], r: float, nodes: int
+    pairs: list[tuple[np.ndarray | None, np.ndarray]], r: float, nodes: int
 ) -> list[np.ndarray]:
     """The centred quadrature kernel: P #_r Q for each pair, on trusted arrays.
 
-    r lies off {0, 1}.  A pair whose spectrum of P^{-1} Q lies within
-    1e-13 * max|lambda| of (-inf, 0] has no principal mean, and raises
-    PrincipalBranchError.  All pairs share one rule.  It starts at the largest
-    count their centred spectra need and doubles until every pair's
-    truncation estimate is below TRUNCATION_TOL; `nodes` is the budget, and
-    NodeBudgetError is raised when that takes more nodes.  A result past the
-    double range, or a failure of LAPACK, raises PreconditionError.
+    r lies off {0, 1}, and P None stands for the identity.  A pair whose
+    spectrum of P^{-1} Q lies within 1e-13 * max|lambda| of (-inf, 0] has no
+    principal mean, and raises PrincipalBranchError.  All pairs share one
+    rule.  It starts at the largest count their centred spectra need and
+    doubles until every pair's truncation estimate is below TRUNCATION_TOL;
+    `nodes` is the budget, and NodeBudgetError is raised when that takes more
+    nodes.  A result past the double range, or a failure of LAPACK, raises
+    PreconditionError.
+
+    The nodes run in the Schur basis P^{-1} Q/c = Z T_c Z* (LAPACK zgees),
+    where the pencil (1-s) Q/c + s P is P Z ((1-s) T_c + s I) Z*, triangular
+    in the middle.  With S the integral of ((1-s) T_c + s I)^{-1}, the
+    integral of the pencil's inverse is Z S Z* P^{-1}, so X (...) Y is
+    X Z S Z* for Y = P, and X Z S T_c Z* for Y = Q/c.
     """
     k = math.ceil(r)
     terms, centred = [], []
@@ -223,13 +268,17 @@ def _resolvent_mean(
         # eigenvalues scale exactly under an even power and move in the last
         # bits under an odd one; it is applied in two factors, as 2^-shift
         # itself may pass the double range.
-        shift = 2 * int((math.frexp(np.abs(Q).max())[1] - math.frexp(np.abs(P).max())[1]) / 2)
+        exponent_p = 1 if P is None else math.frexp(np.abs(P).max())[1]
+        shift = 2 * int((math.frexp(np.abs(Q).max())[1] - exponent_p) / 2)
         half = shift // 2
         Qb = Q * math.ldexp(1.0, -half) * math.ldexp(1.0, half - shift)
         try:
-            lam = np.linalg.eigvals(np.linalg.solve(P, Qb))
+            M = Qb if P is None else np.linalg.solve(P, Qb)
         except np.linalg.LinAlgError as exc:
             raise PreconditionError(f"the quadrature kernel failed: {exc}") from None
+        T, _, lam, Z, _, info = lapack("zgees")(_unordered, M, lwork=_gees_lwork(len(M)))
+        if info != 0:
+            raise PreconditionError(f"the quadrature kernel failed: zgees returned info={info}")
         if not _off_cut(lam):
             raise PrincipalBranchError("spectrum touches (-inf, 0]; principal branch undefined")
         size = np.abs(lam)
@@ -238,30 +287,26 @@ def _resolvent_mean(
         e = math.frexp(size.max())[1]
         cb = math.ldexp(math.sqrt(math.ldexp(size.min(), -e) * math.ldexp(size.max(), -e)), e)
         centred.append(lam / cb)
-        Qc = Qb / cb
-        terms.append((P, Qc, cb, shift, P if k == 0 else Qc, Qc if k == 2 else P))
+        terms.append((T / cb, Z, cb, shift, P if k == 0 else Qb / cb))
     # the count is set by the nearest pole over all pairs
     n_nodes = node_count(np.concatenate(centred), nodes)
     while True:
         rule = _cached_rule(r, n_nodes)
         means = []
-        for P, Qc, cb, shift, X, Y in terms:
+        for Tc, Z, cb, shift, X in terms:
             # row 0 sums the integral, the other rows the probed coefficients
-            moments = np.zeros((len(rule.probes), Qc.size), dtype=Qc.dtype)
-            block = max(1, BLOCK_ENTRIES // Qc.size)
+            block = max(1, BLOCK_ENTRIES // Tc.size)
             for lo in range(0, n_nodes, block):
-                s = rule.nodes[lo:lo + block, None, None]
-                pencil = (1.0 - s) * Qc + s * P
-                # a leading axis marks Y as one matrix for every node
-                try:
-                    integrand = np.linalg.solve(pencil, Y[None])
-                except np.linalg.LinAlgError as exc:
-                    raise PreconditionError(f"the quadrature kernel failed: {exc}") from None
-                moments += rule.probes[:, lo:lo + block] @ integrand.reshape(len(s), -1)
+                inverses = _triangular_inverses(Tc, rule.nodes[lo:lo + block])
+                part = rule.probes[:, lo:lo + block] @ inverses.reshape(len(inverses), -1)
+                moments = part if lo == 0 else moments + part
+            if k == 2:
+                moments = (moments.reshape(-1, *Tc.shape) @ Tc).reshape(len(moments), -1)
+            # Frobenius norms, which Z leaves as they are
             sizes = np.linalg.norm(moments, axis=1)
             if not truncation_estimate(n_nodes, sizes[1:] / sizes[0]) <= TRUNCATION_TOL:
                 break
-            means.append(_scaled(X, moments[0].reshape(Qc.shape), cb, shift, r))
+            means.append(_scaled(X, Z, moments[0].reshape(Tc.shape), cb, shift, r))
         else:
             return means
         if 2 * n_nodes > nodes:
@@ -281,7 +326,7 @@ def principal_power_quad(A: np.ndarray, r: float, nodes: int = MAX_NODES) -> np.
     r = float(r)
     if mean_order_branch(r) == "endpoint":
         return np.eye(len(A), dtype=np.complex128) if r == 0.0 else A.copy()
-    return _resolvent_mean([(np.eye(len(A), dtype=np.complex128), A)], r, nodes)[0]
+    return _resolvent_mean([(None, A)], r, nodes)[0]
 
 
 @lru_cache(maxsize=512)
@@ -354,10 +399,11 @@ def geometric_mean_integral(
 ) -> np.ndarray:
     """A #_r B through its direct integral form, the quadrature kernel on (A, B).
 
-    Each node solves with the pencil (1-s) B/c + s A, a weighted arithmetic
-    mean of A and the centred B/c; no congruence, no fractional power and no
-    inverse is involved, which makes this an independent cross-check of the
-    eigen route of `geometric_mean`.  r = 0 and r = 1 pass A and B through,
+    The integrand is the inverse of the pencil (1-s) B/c + s A, a weighted
+    arithmetic mean of A and the centred B/c, taken in the Schur basis of
+    A^{-1} B/c; no congruence and no fractional power is involved, which
+    makes this an independent cross-check of the eigen route of
+    `geometric_mean`.  r = 0 and r = 1 pass A and B through,
     as that route does.
     """
     A, B = as_matrix(A), as_matrix(B)

@@ -254,6 +254,16 @@ def test_compute_missing_file(tmp_path, capsys):
         assert name in err and len(err.splitlines()) == 1
 
 
+def test_compute_refuses_a_file_nested_past_the_recursion_limit(tmp_path, capsys):
+    """An extra key nesting 200k deep is a format error: exit 2, one line."""
+    deep = "[" * 200_000 + "]" * 200_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"n": 1, "data": [[[1, 0]]], "x": ' + deep + "}")
+    code, out, err = run_cli(capsys, "compute", "sector", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"precondition failed: {path}: invalid json: nested too deeply to read\n"
+
+
 # -------------------------------------------------------------------- main
 
 
@@ -619,9 +629,9 @@ print(code, "scipy" in sys.modules, "orjson" in sys.modules)
     (("compute", "wradius", "A"), True, True),
 ], ids=["import", "verify", "sector", "norm", "power-eigen", "mean-eigen", "power-quad", "wradius"])
 def test_scipy_loads_only_on_first_use(tmp_path, argv, loads_scipy, loads_orjson):
-    # SciPy serves only the Gauss-Jacobi rules and the radius pencil, and
-    # orjson only the matrix files; a top-level import of either anywhere in
-    # the package would fail this
+    # SciPy serves only the Gauss-Jacobi rules, the quadrature kernel's Schur
+    # form and the radius pencil, and orjson only the matrix files; a
+    # top-level import of either anywhere in the package would fail this
     A = put(tmp_path, "a.json", [[2.0, 1.0 + 0.5j, 0.0], [0.0, 3.0, 0.5j], [0.2, 0.0, 1.5]])
     argv = [A if arg == "A" else arg for arg in argv]
     src = str(Path(__file__).resolve().parents[1] / "src")

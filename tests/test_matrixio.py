@@ -179,21 +179,30 @@ def test_matrix_past_the_orjson_bracket_bound_round_trips():
 
 def test_deep_nesting_raises_rather_than_crashing():
     # orjson recurses in C and would overflow the stack at this depth; json
-    # stops at Python's recursion limit. A fresh process, so that a crash
-    # fails this test and not the run.
+    # stops at Python's recursion limit, which is a format error. A fresh
+    # process, so that a crash fails this test and not the run.
     probe = (
-        "from sectormeans import loads_matrix\n"
+        "from sectormeans import MatrixFormatError, loads_matrix\n"
         "deep = '[' * 200000 + ']' * 200000\n"
         "try:\n"
         "    loads_matrix('{\"n\": 1, \"data\": [[[1, 0]]], \"x\": ' + deep + '}')\n"
-        "except RecursionError:\n"
-        "    print('RecursionError')\n"
+        "except MatrixFormatError as exc:\n"
+        "    print(exc)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), timeout=120)
-    assert (proc.returncode, proc.stdout) == (0, "RecursionError\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "invalid json: nested too deeply to read\n"), proc.stderr
+
+
+@pytest.mark.parametrize("depth", [990, 995, 1000])
+def test_an_entry_nested_to_the_recursion_limit_is_a_format_error(depth):
+    # json reads this entry, but its repr in the refusal message passes
+    # Python's recursion limit
+    nest = "[" * depth + "]" * depth
+    with pytest.raises(MatrixFormatError, match="nested too deeply"):
+        loads_matrix('{"n": 1, "data": [[' + nest + "]]}")
 
 
 def test_file_round_trip(tmp_path):

@@ -37,8 +37,9 @@ from sectormeans import (
     reflection_identity,
     sector_angle,
 )
+from sectormeans import means
 from sectormeans.linalg import inverse
-from sectormeans.means import ENGINES, _resolvent_mean
+from sectormeans.means import BLOCK_ENTRIES, ENGINES, _resolvent_mean, _triangular_inverses
 from sectormeans.quadrature import MAX_NODES, MIN_NODES, node_count, quadrature_rule
 
 from conftest import rel_err
@@ -623,3 +624,83 @@ def test_quad_power_ignores_memory_layout(r):
         assert not M.flags.c_contiguous
         expected = principal_power_quad(np.ascontiguousarray(M), r)
         assert rel_err(principal_power_quad(M, r), expected) <= 1e-14
+
+
+# ------------------------------------------------------------ Schur-basis nodes
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64])
+def test_back_substitution_inverts_every_pencil(n):
+    """One back-substitution gives ((1-s) T + s I)^{-1} at every node, the end
+    nodes s = 0 (T itself) and s = 1 (the identity) included."""
+    T, _ = scipy.linalg.schur(gen_accretive(n, 3), output="complex")
+    lam = np.diagonal(T)
+    T = T / math.sqrt(np.abs(lam).min() * np.abs(lam).max())
+    s = np.concatenate([[0.0], np.linspace(0.01, 0.99, 9), [1.0]])
+    inverses = _triangular_inverses(T, s)
+    pencils = (1.0 - s)[:, None, None] * T + s[:, None, None] * np.eye(n)
+    assert np.abs(pencils @ inverses - np.eye(n)).max() <= 1e-13
+    assert np.array_equal(inverses[-1], np.eye(n))
+
+
+@pytest.mark.parametrize("r, tol", [(-0.6, 1e-14), (0.4, 1e-12), (1.7, 1e-14)])
+def test_node_blocks_do_not_change_the_result(monkeypatch, r, tol):
+    """At n = 64 and kappa = 3e4 the rule has more than 32 nodes, so the
+    default blocking takes several blocks; one node per block gives the same
+    means up to the order of the sums.  At r in (0, 1) the sum is multiplied
+    by Q/c, far larger than the mean, so reordering it moves the mean by
+    about 1e-13."""
+    n = 64
+    U = gen_unitary(n, 7)
+    lam = np.logspace(0.0, math.log10(3e4), n) * np.exp(1j * np.linspace(-1.2, 1.2, n))
+    A = (U * lam) @ U.conj().T
+    B = gen_accretive(n, 8)
+    size = np.abs(lam)
+    assert node_count(lam / math.sqrt(size.min() * size.max())) > BLOCK_ENTRIES // (n * n)
+    power, mean = principal_power_quad(A, r), geometric_mean_integral(B, A, r)
+    monkeypatch.setattr(means, "BLOCK_ENTRIES", n * n)
+    assert rel_err(principal_power_quad(A, r), power) <= tol
+    assert rel_err(geometric_mean_integral(B, A, r), mean) <= tol
+
+
+def test_jordan_mean_doubles_its_rule_on_every_branch(monkeypatch):
+    """P #_r P (I + 0.9 S) = P (I + 0.9 S)^r.  spec(P^{-1} Q) is {1}, and
+    the computed one lies within eps^(1/12) of it, so the first rule is
+    small and the estimate doubles it on each branch; at r in (1, 2) the
+    result goes through the T_c fold."""
+    M, oracle = shifted_jordan(12, 0.9)
+    P = gen_pd(12, 5)
+    counts = []
+    cached = means._cached_rule
+    monkeypatch.setattr(means, "_cached_rule", lambda r, n: counts.append(n) or cached(r, n))
+    for r in (-0.6, 0.4, 1.7):
+        counts.clear()
+        got = _resolvent_mean([(P, P @ M)], r, MAX_NODES)[0]
+        assert len(counts) > 1 and counts[1:] == [2 * c for c in counts[:-1]]
+        assert rel_err(got, P @ oracle(r)) <= 1e-13
+
+
+def test_kernel_refuses_a_schur_failure(monkeypatch):
+    lapack = means.lapack
+
+    def failing(name):
+        def zgees(*args, **kwargs):
+            *out, _ = lapack(name)(*args, **kwargs)
+            return (*out, 1)
+        return zgees if name == "zgees" else lapack(name)
+
+    monkeypatch.setattr(means, "lapack", failing)
+    with pytest.raises(PreconditionError, match="quadrature kernel failed"):
+        principal_power_quad(gen_accretive(3, 1), 0.5)
+    with pytest.raises(PreconditionError, match="quadrature kernel failed"):
+        geometric_mean_integral(gen_accretive(3, 1), gen_accretive(3, 2), 1.5)
+
+
+@pytest.mark.parametrize("r", [-0.6, 0.3, 1.7])
+def test_identity_pair_needs_no_matrix(r):
+    """P None is the identity: the same bits as passing I, without the solve."""
+    A = gen_accretive(5, 31)
+    eye = np.eye(5, dtype=np.complex128)
+    assert np.array_equal(
+        _resolvent_mean([(None, A)], r, MAX_NODES)[0], _resolvent_mean([(eye, A)], r, MAX_NODES)[0]
+    )
