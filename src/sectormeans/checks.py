@@ -190,14 +190,10 @@ def _rel(X: np.ndarray, Y: np.ndarray) -> float:
 
 # The sampler's certificates vouch for the instances, so the checks run the
 # quadrature kernel on them without the public routes' validation.  A pair
-# (I, A) is the power A^r; a claim that compares two means at one order
+# (None, A) is the power A^r; a claim that compares two means at one order
 # passes both pairs in one call, so they share one rule.
 def _mean(A: np.ndarray, B: np.ndarray, r: float, ctx: EvalContext) -> np.ndarray:
     return _resolvent_mean([(A, B)], r, ctx.nodes)[0]
-
-
-def _eye(A: np.ndarray) -> np.ndarray:
-    return np.eye(len(A), dtype=np.complex128)
 
 
 def _sec(alpha: float) -> float:
@@ -222,15 +218,15 @@ def _at(side: Side, alpha: float) -> Value:
     return side(alpha) if callable(side) else side
 
 
+# A term with a matrix side is a Loewner term, where 0.0 is the zero matrix.
 def _margin(lhs: Value, rhs: Value) -> float:
-    if isinstance(lhs, np.ndarray):
+    if isinstance(lhs, np.ndarray) or isinstance(rhs, np.ndarray):
         return loewner_margin(lhs, rhs)
     return float(rhs - lhs)
 
 
 def _scale(lhs: Value, rhs: Value) -> float:
-    size = op_norm if isinstance(lhs, np.ndarray) else abs
-    return max(size(lhs), size(rhs))
+    return max(op_norm(s) if isinstance(s, np.ndarray) else abs(s) for s in (lhs, rhs))
 
 
 def _inv_real_sandwich(inst: Instance, ctx: EvalContext) -> list[Term]:
@@ -273,8 +269,7 @@ def _map_schwarz(inst: Instance, ctx: EvalContext) -> list[Term]:
 
 def _power_real(inst: Instance, ctx: EvalContext) -> list[Term]:
     """Re(A^r) <= (Re A)^r."""
-    eye = _eye(inst.A)
-    powers = _resolvent_mean([(eye, inst.A), (eye, real_part(inst.A))], inst.r, ctx.nodes)
+    powers = _resolvent_mean([(None, inst.A), (None, real_part(inst.A))], inst.r, ctx.nodes)
     re_of_power, power_of_re = (real_part(M) for M in powers)
     return [(re_of_power, power_of_re)]
 
@@ -359,7 +354,7 @@ def _sector_closure(inst: Instance, ctx: EvalContext) -> list[Term]:
     def cone(alpha: float) -> np.ndarray:
         return math.tan(alpha) * R
 
-    return [(np.zeros_like(M), M), (S, cone), (-S, cone)]
+    return [(0.0, M), (S, cone), (-S, cone)]
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +389,7 @@ def _rel_integral_vs_congruence(inst: Instance, ctx: EvalContext) -> float:
 
 def _rel_quad_vs_eigen(inst: Instance, ctx: EvalContext) -> float:
     return _rel(
-        _resolvent_mean([(_eye(inst.A), inst.A)], inst.r, ctx.nodes)[0],
+        _resolvent_mean([(None, inst.A)], inst.r, ctx.nodes)[0],
         principal_power_eigen(inst.A, inst.r),
     )
 

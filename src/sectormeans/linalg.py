@@ -119,9 +119,10 @@ def sqrt_pd(H: np.ndarray) -> np.ndarray:
     return (V * np.sqrt(w)) @ V.conj().T
 
 
-def loewner_margin(lhs: np.ndarray | float, rhs: np.ndarray) -> float:
+def loewner_margin(lhs: np.ndarray | float, rhs: np.ndarray | float) -> float:
     """Margin of the Loewner comparison lhs <= rhs: lambda_min of the
-    Hermitian part of rhs - lhs (lhs = 0.0 gives lambda_min(Re rhs)).
+    Hermitian part of rhs - lhs.  Either side may be the scalar 0.0, which
+    stands for the zero matrix (lhs = 0.0 gives lambda_min(Re rhs)).
 
     Callers that judge it relative to the operands pair it with the scale
     max(||lhs||, ||rhs||), under which the comparison is invariant to scaling

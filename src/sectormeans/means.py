@@ -35,8 +35,8 @@ same r builds one rule.  The mean A #_r B is the kernel on (A, B), its
 direct integral form, with no congruence and no fractional power; the
 power A^r is the kernel on (I, A), which needs no solve with I.  Both
 routes have the kernel's one domain rule, read off the spectrum it already
-computes: P^{-1} Q with an eigenvalue within 1e-13 max|lambda| of (-inf, 0]
-raises PrincipalBranchError.
+computes: P^{-1} Q with an eigenvalue that is 0, or within 1e-13 rad of the
+negative axis, raises PrincipalBranchError (`_off_cut`).
 
 The eigen route diagonalizes and applies the principal branch of z^r on the
 spectrum; the mean A #_r B is then the congruence
@@ -111,9 +111,8 @@ class EigenbasisConditionError(PreconditionError):
 
 
 def _off_cut(lam: np.ndarray) -> bool:
-    """Whether no eigenvalue lies within 1e-13 * max|lam| of (-inf, 0]."""
-    scale = max(float(np.abs(lam).max(initial=0.0)), 1e-300)
-    on_cut = (lam.real <= 1e-13 * scale) & (np.abs(lam.imag) <= 1e-13 * scale)
+    """Whether no eigenvalue is 0 or within 1e-13 rad of (-inf, 0), each by itself."""
+    on_cut = (lam == 0) | ((lam.real < 0) & (np.abs(lam.imag) <= 1e-13 * np.abs(lam)))
     return not bool(on_cut.any())
 
 
@@ -244,13 +243,13 @@ def _resolvent_mean(
 ) -> list[np.ndarray]:
     """The centred quadrature kernel: P #_r Q for each pair, on trusted arrays.
 
-    r lies off {0, 1}, and P None stands for the identity.  A pair whose
-    spectrum of P^{-1} Q lies within 1e-13 * max|lambda| of (-inf, 0] has no
-    principal mean, and raises PrincipalBranchError.  All pairs share one
-    rule.  It starts at the largest count their centred spectra need and
-    doubles until every pair's truncation estimate is below TRUNCATION_TOL;
-    `nodes` is the budget, and NodeBudgetError is raised when that takes more
-    nodes.  A result past the double range, or a failure of LAPACK, raises
+    r lies off {0, 1}, and P None stands for the identity.  A pair with an
+    eigenvalue of P^{-1} Q on the branch cut (`_off_cut`) has no principal
+    mean, and raises PrincipalBranchError.  All pairs share one rule.  It
+    starts at the largest count their centred spectra need and doubles until
+    every pair's truncation estimate is below TRUNCATION_TOL; `nodes` is the
+    budget, and NodeBudgetError is raised when that takes more nodes.  A
+    result past the double range, or a failure of LAPACK, raises
     PreconditionError.
 
     The nodes run in the Schur basis P^{-1} Q/c = Z T_c Z* (LAPACK zgees),
@@ -329,7 +328,9 @@ def principal_power_quad(A: np.ndarray, r: float, nodes: int = MAX_NODES) -> np.
     return _resolvent_mean([(None, A)], r, nodes)[0]
 
 
-@lru_cache(maxsize=512)
+# Only a fixed-r suite reuses rules: 66 is the least size that keeps each of
+# r01, r12 and rneg at 500 trials within 5% of an unbounded cache's hits.
+@lru_cache(maxsize=66)
 def _cached_rule(r: float, n_nodes: int) -> QuadratureRule:
     return quadrature_rule(r, n_nodes)
 

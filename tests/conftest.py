@@ -1,5 +1,8 @@
 """Shared fixtures and hypothesis configuration for the test suite."""
 
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -20,6 +23,15 @@ def rel_err(X, Y):
     Y = np.asarray(Y, dtype=np.complex128)
     denom = max(np.linalg.norm(X), np.linalg.norm(Y), 1e-300)
     return float(np.linalg.norm(X - Y) / denom)
+
+
+def load_script(name):
+    """The module scripts/<name>.py; scripts/ is not a package."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ from sectormeans import (
 )
 from sectormeans.cli import main
 
-from conftest import ACCEPTANCE_VERDICTS, rel_err
+from conftest import ACCEPTANCE_VERDICTS, load_script, rel_err
 
 R_GRID = (-0.75, -0.5, -0.25, 0.25, 0.5, 0.75, 1.25, 1.5, 1.75)
 FUZZ_ALPHAS = (0.1, 0.4, 0.8, 1.2)
@@ -185,11 +185,6 @@ def test_c9_report_determinism(tmp_path):
     code1 = main(args + ["--out", str(p1)])
     code2 = main(args + ["--out", str(p2)])
     r1, r2 = json.loads(p1.read_text()), json.loads(p2.read_text())
-    for rep in (r1, r2):
-        rep.pop("elapsed_s", None)
-        rep["summary"].pop("elapsed_s", None)
-        for c in rep["checks"]:
-            c.pop("runtime_s", None)
-    verdict("c9 report-determinism", code1 == 0 and code2 == 0 and r1 == r2,
-            f"exit codes {code1}/{code2}, reports identical after dropping timing: "
-            f"{r1 == r2}")
+    same = load_script("report_diff").differences(r1, r2) == []
+    verdict("c9 report-determinism", code1 == 0 and code2 == 0 and same,
+            f"exit codes {code1}/{code2}, reports identical after dropping timing: {same}")

@@ -27,6 +27,8 @@ from sectormeans.cli import CSV_HEADER, main
 from sectormeans.norms import RadiusCertificateError
 from sectormeans.quadrature import MAX_NODES
 
+from conftest import load_script
+
 
 def put(tmp_path, name, M):
     path = tmp_path / name
@@ -465,12 +467,7 @@ def test_verify_deterministic_reports(tmp_path, capsys):
     assert run_cli(capsys, *args, "--out", str(p1))[0] == 0
     assert run_cli(capsys, *args, "--out", str(p2))[0] == 0
     r1, r2 = json.loads(p1.read_text()), json.loads(p2.read_text())
-    for rep in (r1, r2):
-        rep.pop("elapsed_s", None)
-        rep["summary"].pop("elapsed_s", None)
-        for c in rep["checks"]:
-            c.pop("runtime_s", None)
-    assert r1 == r2
+    assert load_script("report_diff").differences(r1, r2) == []
 
 
 def test_verify_unknown_check(capsys):

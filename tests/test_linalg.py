@@ -167,3 +167,5 @@ def test_loewner_margin_against_zero_is_the_real_part_bound(n):
     A = random_complex(n, 40 + n)
     assert loewner_margin(0.0, A) == np.linalg.eigvalsh(real_part(A))[0]
     assert loewner_margin(np.zeros_like(A), A) == loewner_margin(0.0, A)
+    # the zero on the right, as a flipped accretivity term puts it
+    assert loewner_margin(A, 0.0) == loewner_margin(A, np.zeros_like(A))

@@ -20,6 +20,7 @@ from sectormeans import (
     NodeBudgetError,
     PreconditionError,
     PrincipalBranchError,
+    RunConfig,
     arithmetic_mean,
     gen_accretive,
     gen_pd,
@@ -35,10 +36,11 @@ from sectormeans import (
     principal_power_eigen,
     principal_power_quad,
     reflection_identity,
+    run_suite,
     sector_angle,
 )
 from sectormeans import means
-from sectormeans.linalg import inverse
+from sectormeans.linalg import inverse, real_part
 from sectormeans.means import BLOCK_ENTRIES, ENGINES, _resolvent_mean, _triangular_inverses
 from sectormeans.quadrature import MAX_NODES, MIN_NODES, node_count, quadrature_rule
 
@@ -286,16 +288,35 @@ def test_power_branch_cut_raises():
             principal_power(scalar(-1.0), 0.5, engine=engine)
         with pytest.raises(PrincipalBranchError):
             principal_power(np.diag([1.0, 0.0, 2.0 + 1j]), 0.5, engine=engine)
+        # each eigenvalue by its own angle: within 1e-13 rad of the negative axis
+        for lam in (-1.0 + 1e-14j, -1e-300):
+            with pytest.raises(PrincipalBranchError):
+                principal_power(np.diag([lam, 2.0]), 0.5, engine=engine)
 
 
 def test_hermitian_cut_differs_between_engines():
     """The eigen engine's eigh path refuses only lambda_min <= 0, so it powers
-    an eigenvalue 1e-15 * rho above the cut; the quad engine refuses it."""
+    an eigenvalue 1e-15 * rho above the cut.  That eigenvalue is on the
+    positive axis, so the quad engine does not call it a branch-cut fault:
+    it refuses the spread, which needs more nodes than the budget."""
     A = np.diag([1e-15, 1.0])
     out = principal_power(A, 0.5, engine="eigen")
     np.testing.assert_allclose(out, np.diag([math.sqrt(1e-15), 1.0]), rtol=1e-14, atol=0)
-    with pytest.raises(PrincipalBranchError):
+    with pytest.raises(NodeBudgetError, match="needs 51794 quadrature nodes"):
         principal_power(A, 0.5, engine="quad")
+
+
+@pytest.mark.parametrize(
+    "A", [np.diag([1e-200, 1e-100]), np.array([[1e-200, 1e-150], [0.0, 1e-100]])]
+)
+def test_spread_positive_spectrum_is_refused_by_its_node_count(A):
+    """Each eigenvalue is judged by its own angle, so a positive spectrum
+    spread past 1e13 is off the cut: the quad engine refuses its node count,
+    and the eigen engine returns the power."""
+    with pytest.raises(NodeBudgetError):
+        principal_power(A, 1.5, engine="quad")
+    out = principal_power(A, 1.5, engine="eigen")
+    np.testing.assert_allclose(out, np.diag([1e-300, 1e-150]), rtol=1e-14, atol=0)
 
 
 def test_power_off_cone_but_off_cut_is_silent():
@@ -699,8 +720,32 @@ def test_kernel_refuses_a_schur_failure(monkeypatch):
 @pytest.mark.parametrize("r", [-0.6, 0.3, 1.7])
 def test_identity_pair_needs_no_matrix(r):
     """P None is the identity: the same bits as passing I, without the solve."""
-    A = gen_accretive(5, 31)
-    eye = np.eye(5, dtype=np.complex128)
-    assert np.array_equal(
-        _resolvent_mean([(None, A)], r, MAX_NODES)[0], _resolvent_mean([(eye, A)], r, MAX_NODES)[0]
-    )
+    for n in (1, 2, 5, 8):
+        A = gen_accretive(n, 31)
+        eye = np.eye(n, dtype=np.complex128)
+        for B in (A, np.asfortranarray(A)):
+            assert np.array_equal(
+                _resolvent_mean([(None, B)], r, MAX_NODES)[0],
+                _resolvent_mean([(eye, B)], r, MAX_NODES)[0],
+            )
+        # two power pairs in one call, as Re(A^r) <= (Re A)^r passes them
+        pairs = [(None, A), (None, real_part(A))]
+        got = _resolvent_mean(pairs, r, MAX_NODES)
+        want = _resolvent_mean([(eye, Q) for _, Q in pairs], r, MAX_NODES)
+        assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+def test_rule_cache_keeps_the_reuse_of_a_fixed_r_suite(monkeypatch):
+    """A suite at a fixed r hits the rule cache within 5% of as often as a
+    cache that never evicts: the lookups less the distinct rules."""
+    assert means._cached_rule.cache_info().maxsize == 66
+    keys = []
+    cached = means._cached_rule
+    monkeypatch.setattr(means, "_cached_rule", lambda r, n: keys.append((r, n)) or cached(r, n))
+    cached.cache_clear()
+    try:
+        run_suite("r12", RunConfig(seed=42, trials=100, r_override=1.5))
+        hits = cached.cache_info().hits
+    finally:
+        cached.cache_clear()
+    assert hits >= 0.95 * (len(keys) - len(set(keys)))

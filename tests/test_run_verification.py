@@ -1,25 +1,16 @@
 """The archive script: every suite once, JSON and CSV from the same run."""
 
 import csv
-import importlib.util
 import json
-import pathlib
 import warnings
 
 from sectormeans import RunConfig
 
-SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_verification.py"
-
-
-def load_script():
-    spec = importlib.util.spec_from_file_location("run_verification", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_script
 
 
 def test_json_and_csv_agree(tmp_path, capsys):
-    script = load_script()
+    script = load_script("run_verification")
     assert script.main(["--trials", "2", "--dims", "2..3", "--out-dir", str(tmp_path)]) == 0
     (run_dir,) = tmp_path.iterdir()
     summary = json.loads((run_dir / "summary.json").read_text())
@@ -36,7 +27,7 @@ def test_json_and_csv_agree(tmp_path, capsys):
 
 
 def test_defaults_follow_run_config():
-    _, config = load_script().parse_args([])
+    _, config = load_script("run_verification").parse_args([])
     assert config == RunConfig()
 
 
@@ -44,14 +35,15 @@ def test_main_leaves_warning_filters_alone(tmp_path, capsys):
     with warnings.catch_warnings():
         # start from no filters at all, so any filter that main adds shows
         warnings.resetwarnings()
-        load_script().main(["--trials", "1", "--dims", "2..2", "--out-dir", str(tmp_path)])
+        script = load_script("run_verification")
+        script.main(["--trials", "1", "--dims", "2..2", "--out-dir", str(tmp_path)])
         assert warnings.filters == []
 
 
 def test_out_dir_that_cannot_be_made_exits_two(tmp_path, capsys, monkeypatch):
     """An --out-dir under a regular file is refused on one line before any
     suite runs."""
-    script = load_script()
+    script = load_script("run_verification")
 
     def no_run(*args, **kwargs):
         raise AssertionError("run_suite called")
