@@ -111,7 +111,7 @@ class EigenbasisConditionError(PreconditionError):
 
 
 def _off_cut(lam: np.ndarray) -> bool:
-    """Whether no eigenvalue is 0 or within 1e-13 rad of (-inf, 0), each by itself."""
+    """The quad kernel's rule: no eigenvalue is 0 or within 1e-13 rad of (-inf, 0)."""
     on_cut = (lam == 0) | ((lam.real < 0) & (np.abs(lam.imag) <= 1e-13 * np.abs(lam)))
     return not bool(on_cut.any())
 
@@ -149,10 +149,11 @@ def arithmetic_mean(A: np.ndarray, B: np.ndarray, r: float) -> np.ndarray:
 def principal_power_eigen(A: np.ndarray, r: float) -> np.ndarray:
     """A^r through the eigendecomposition and the principal branch of z^r.
 
-    Rejects spectra touching (-inf, 0], eigenvector bases with condition
-    number above EIG_COND_LIMIT (the result could not be certified to the
-    tolerances the rest of the package promises) and results past the double
-    range.
+    Rejects spectra touching (-inf, 0] (`eig`'s within 1e-13 max|lambda|, as
+    its eigenvalues err by about eps ||A|| cond(V)), eigenvector bases with
+    condition number above EIG_COND_LIMIT (the result could not be certified
+    to the tolerances the rest of the package promises) and results past the
+    double range.
     """
     A = as_matrix(A)
     r = float(r)
@@ -169,7 +170,8 @@ def principal_power_eigen(A: np.ndarray, r: float) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             return _finite((V * w**r) @ V.conj().T)
     lam, V = np.linalg.eig(A)
-    if not _off_cut(lam):
+    tol = 1e-13 * np.abs(lam).max()
+    if ((lam.real <= tol) & (np.abs(lam.imag) <= tol)).any():
         raise PrincipalBranchError("spectrum touches (-inf, 0]; principal power undefined")
     cond = np.linalg.cond(V)
     if cond > EIG_COND_LIMIT:
@@ -328,8 +330,8 @@ def principal_power_quad(A: np.ndarray, r: float, nodes: int = MAX_NODES) -> np.
     return _resolvent_mean([(None, A)], r, nodes)[0]
 
 
-# Only a fixed-r suite reuses rules: 66 is the least size that keeps each of
-# r01, r12 and rneg at 500 trials within 5% of an unbounded cache's hits.
+# Fixed-r suites and repeated compute calls (traced hit ratio 0.333) reuse rules:
+# 66 is the least size keeping r01, r12 and rneg at 500 trials at 95% of 512's hits.
 @lru_cache(maxsize=66)
 def _cached_rule(r: float, n_nodes: int) -> QuadratureRule:
     return quadrature_rule(r, n_nodes)

@@ -40,7 +40,7 @@ from sectormeans import (
     sector_angle,
 )
 from sectormeans import means
-from sectormeans.linalg import inverse, real_part
+from sectormeans.linalg import inverse, is_hermitian, real_part
 from sectormeans.means import BLOCK_ENTRIES, ENGINES, _resolvent_mean, _triangular_inverses
 from sectormeans.quadrature import MAX_NODES, MIN_NODES, node_count, quadrature_rule
 
@@ -306,17 +306,37 @@ def test_hermitian_cut_differs_between_engines():
         principal_power(A, 0.5, engine="quad")
 
 
-@pytest.mark.parametrize(
-    "A", [np.diag([1e-200, 1e-100]), np.array([[1e-200, 1e-150], [0.0, 1e-100]])]
-)
-def test_spread_positive_spectrum_is_refused_by_its_node_count(A):
+def test_spread_positive_spectrum_is_refused_by_its_node_count():
     """Each eigenvalue is judged by its own angle, so a positive spectrum
-    spread past 1e13 is off the cut: the quad engine refuses its node count,
-    and the eigen engine returns the power."""
-    with pytest.raises(NodeBudgetError):
-        principal_power(A, 1.5, engine="quad")
-    out = principal_power(A, 1.5, engine="eigen")
+    spread past 1e13 is off the quad kernel's cut, and the kernel refuses its
+    node count.  The eigen engine's eigh path powers the diagonal input; its
+    eig path refuses the non-Hermitian one, as an eigenvalue within
+    1e-13 max|lambda| of 0 is one eig cannot tell from 0."""
+    D = np.diag([1e-200, 1e-100])
+    N = np.array([[1e-200, 1e-101], [0.0, 1e-100]])
+    assert not is_hermitian(N)
+    for A in (D, N):
+        with pytest.raises(NodeBudgetError):
+            principal_power(A, 1.5, engine="quad")
+    out = principal_power(D, 1.5, engine="eigen")
     np.testing.assert_allclose(out, np.diag([1e-300, 1e-150]), rtol=1e-14, atol=0)
+    with pytest.raises(PrincipalBranchError):
+        principal_power(N, 1.5, engine="eigen")
+
+
+@pytest.mark.parametrize("r", [-0.5, 0.5])
+def test_numerically_singular_power_is_refused(r):
+    """U diag(0, 1+1j) U* in floats has an eigenvalue of about 1e-16 at a
+    phase set by rounding, off the quad kernel's cut.  The eigen engine's eig
+    path refuses it as indistinguishable from 0 (at r = -0.5 it would return
+    entries near 1e8), and the quad engine refuses its spread."""
+    U = gen_unitary(2, 4)
+    A = U @ np.diag([0.0, 1.0 + 1.0j]) @ U.conj().T
+    assert not is_hermitian(A) and means._off_cut(np.linalg.eigvals(A))
+    with pytest.raises(PrincipalBranchError):
+        principal_power(A, r, engine="eigen")
+    with pytest.raises(NodeBudgetError):
+        principal_power(A, r, engine="quad")
 
 
 def test_power_off_cone_but_off_cut_is_silent():
