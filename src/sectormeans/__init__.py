@@ -8,7 +8,7 @@ through branch-specific integral representations discretized by
 Gauss-Jacobi quadrature.
 """
 
-from .linalg import PreconditionError, SingularMatrixError, loewner_leq
+from .linalg import LapackError, PreconditionError, SingularMatrixError, loewner_leq
 from .sectors import (
     MAX_DIM,
     SectorCertificate,
@@ -72,6 +72,7 @@ __all__ = [
     "Compression",
     "EigenbasisConditionError",
     "EvalContext",
+    "LapackError",
     "MatrixFormatError",
     "NodeBudgetError",
     "NonAccretiveWarning",

@@ -7,11 +7,11 @@ Two command families:
 
 Exit codes: 0 success, 1 usage error, 2 precondition failure (bad input
 matrix, a report path that cannot be written, an --r outside a check's
-intervals, hypothesis violation, or a result that fails its certificate,
-such as a numerical radius outside ||A||/2 <= w <= ||A||), 3 verification
-failure (a check reported violations, or a trial raised an error, such as
-needing more quadrature nodes than the budget).  A replayed trial exits as
-its run did: 3 when it was violated or raised an error.
+intervals, hypothesis violation, a LAPACK failure, or a result that fails
+its certificate, such as a numerical radius outside ||A||/2 <= w <= ||A||),
+3 verification failure (a check reported violations, or a trial raised an
+error, such as needing more quadrature nodes than the budget).  A replayed
+trial exits as its run did: 3 when it was violated or raised an error.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ import re
 import sys
 import warnings
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .checks import SUITE_NAMES, suite_checks
 from .linalg import PreconditionError
@@ -253,7 +255,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except PreconditionError as exc:
+    except (PreconditionError, np.linalg.LinAlgError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 2
 

@@ -12,9 +12,10 @@ sector cones are all measured by it.
 through it.
 
 `lapack(name)` is the one way into SciPy.  It imports `scipy.linalg.lapack`
-on its first call and caches each routine, so `import sectormeans` does not
-load SciPy; only the Gauss-Jacobi rules (`dstevd`), the quadrature kernel's
-Schur form (`zgees`) and the numerical radius (`zggev`) call it.
+on its first call, so `import sectormeans` does not load SciPy, and its
+routine raises LapackError on a nonzero `info`.  The Gauss-Jacobi rules
+(`dstevd`), the kernel's Schur form (`zgees`) and the numerical radius
+(`zggev`) call it, each at SciPy's default workspace.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 __all__ = [
     "PreconditionError",
     "SingularMatrixError",
+    "LapackError",
     "as_matrix",
     "is_hermitian",
     "require_hermitian",
@@ -59,6 +61,10 @@ class PreconditionError(ValueError):
 
 class SingularMatrixError(PreconditionError):
     """Matrix is numerically too close to singular to invert."""
+
+
+class LapackError(PreconditionError):
+    """A LAPACK routine returned a nonzero `info`."""
 
 
 def as_matrix(A) -> np.ndarray:
@@ -158,11 +164,20 @@ def op_norm(A: np.ndarray) -> float:
 
 @functools.cache
 def lapack(name: str):
-    """The routine `name` (such as "dstevd") of scipy.linalg.lapack.
+    """The routine `name` (such as "dstevd") of scipy.linalg.lapack, returning
+    all but its `info`, which raises LapackError naming the routine if nonzero.
 
     SciPy is imported on the first call, not with this module, because most
     commands never need it.
     """
     from scipy.linalg import lapack as routines
 
-    return getattr(routines, name)
+    routine = getattr(routines, name)
+
+    def call(*args, **kwargs):
+        *out, info = routine(*args, **kwargs)
+        if info != 0:
+            raise LapackError(f"LAPACK {name} failed (info={info})")
+        return tuple(out)
+
+    return call

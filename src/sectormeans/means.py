@@ -47,7 +47,7 @@ engine, and `principal_power` and `geometric_mean` pick it by name.
 from __future__ import annotations
 
 import math
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -215,13 +215,6 @@ def _unordered(z):
     """zgees's eigenvalue selector; with no ordering asked, LAPACK never calls it."""
 
 
-@cache
-def _gees_lwork(size: int) -> int:
-    """zgees's workspace at this size, queried as scipy.linalg.schur does."""
-    zero = np.zeros((size, size), dtype=np.complex128)
-    return int(lapack("zgees")(_unordered, zero, lwork=-1)[-2][0].real)
-
-
 def _triangular_inverses(T: np.ndarray, s: np.ndarray) -> np.ndarray:
     """((1-s_j) T + s_j I)^{-1} for every node s_j, T upper triangular.
 
@@ -251,8 +244,8 @@ def _resolvent_mean(
     starts at the largest count their centred spectra need and doubles until
     every pair's truncation estimate is below TRUNCATION_TOL; `nodes` is the
     budget, and NodeBudgetError is raised when that takes more nodes.  A
-    result past the double range, or a failure of LAPACK, raises
-    PreconditionError.
+    result past the double range, or a failed solve with P, raises
+    PreconditionError, and a failed zgees LapackError.
 
     The nodes run in the Schur basis P^{-1} Q/c = Z T_c Z* (LAPACK zgees),
     where the pencil (1-s) Q/c + s P is P Z ((1-s) T_c + s I) Z*, triangular
@@ -277,9 +270,7 @@ def _resolvent_mean(
             M = Qb if P is None else np.linalg.solve(P, Qb)
         except np.linalg.LinAlgError as exc:
             raise PreconditionError(f"the quadrature kernel failed: {exc}") from None
-        T, _, lam, Z, _, info = lapack("zgees")(_unordered, M, lwork=_gees_lwork(len(M)))
-        if info != 0:
-            raise PreconditionError(f"the quadrature kernel failed: zgees returned info={info}")
+        T, _, lam, Z, _ = lapack("zgees")(_unordered, M)
         if not _off_cut(lam):
             raise PrincipalBranchError("spectrum touches (-inf, 0]; principal branch undefined")
         size = np.abs(lam)

@@ -126,7 +126,7 @@ class QuadratureRule:
     of w_j p_k(x_j) / p_0 for the measure's orthonormal polynomials p_k:
     summed against an integrand's values at the nodes, a row gives its
     discrete Jacobi coefficient of degree k, in units where degree 0 is the
-    integral.  Row 0 is thus the weights.
+    integral.  Row 0 is thus the weights, and `weights` reads it.
 
     Construction checks the order, the shapes, the node count, that the
     nodes increase strictly within [0, 1], that the weights are positive
@@ -136,23 +136,26 @@ class QuadratureRule:
 
     r: float
     nodes: np.ndarray
-    weights: np.ndarray
     probes: np.ndarray
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.probes[0]
 
     def __post_init__(self) -> None:
         mean_order_branch(self.r)
-        nodes, weights = self.nodes, self.weights
-        if nodes.ndim != 1 or weights.shape != nodes.shape:
-            raise PreconditionError("nodes and weights must be matching 1-d arrays")
+        nodes = self.nodes
+        if nodes.ndim != 1 or self.probes.shape != (5, len(nodes)):
+            raise PreconditionError("nodes must be a 1-d array and probes 5 rows of its length")
         if len(nodes) < MIN_NODES:
             raise PreconditionError(f"rule needs at least {MIN_NODES} nodes")
         # within about 1e-12 of an integer r, an end node of a large rule
         # rounds to 0 or 1; the pencil there is Q/c or P, neither singular
         if not (nodes[0] >= 0.0 and nodes[-1] <= 1.0 and (nodes[1:] > nodes[:-1]).all()):
             raise PreconditionError("nodes must be strictly increasing within [0, 1]")
-        if not (weights > 0.0).all():
+        if not (self.weights > 0.0).all():
             raise PreconditionError("weights must be strictly positive")
-        mass = float(weights.sum())
+        mass = float(self.weights.sum())
         if abs(mass - 1.0) > MASS_TOL:
             raise PreconditionError(f"weights sum to {mass}, expected 1 within {MASS_TOL}")
 
@@ -202,9 +205,7 @@ def quadrature_rule(r: float, n_nodes: int) -> QuadratureRule:
     off_sq = np.empty(n_nodes - 1)
     off_sq[0], off_sq[1:] = -2.0 * bb, (k * (k - 1.0) - bb) / (2.0 * k - 1.0) ** 2
     # LAPACK dstevd, the routine scipy.linalg.eigh_tridiagonal runs here
-    x, V, info = lapack("dstevd")(diag, np.sqrt(off_sq))
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dstevd failed on the Jacobi matrix (info={info})")
+    x, V = lapack("dstevd")(diag, np.sqrt(off_sq))
     nodes = 0.5 * (x + 1.0)
     # row k of V over row 0 is p_k / p_0 at the nodes (Golub-Welsch), and
     # the weights are V[0]**2, so each probe row is V[0] times a row of V
@@ -212,4 +213,4 @@ def quadrature_rule(r: float, n_nodes: int) -> QuadratureRule:
     probes = V[0] * V[[0, half - 1, half, n_nodes - 2, n_nodes - 1]]
     for array in (nodes, probes):
         array.flags.writeable = False
-    return QuadratureRule(r=r, nodes=nodes, weights=probes[0], probes=probes)
+    return QuadratureRule(r=r, nodes=nodes, probes=probes)

@@ -39,6 +39,24 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def fail_lapack(monkeypatch):
+    """fail_lapack(name) makes SciPy's LAPACK routine `name` return its
+    outputs with info = 1; the cache of `linalg.lapack` is cleared on both
+    sides, so the package calls the failing routine and then the real one."""
+    from scipy.linalg import lapack as routines
+
+    from sectormeans.linalg import lapack
+
+    def fail(name):
+        routine = getattr(routines, name)
+        monkeypatch.setattr(routines, name, lambda *a, **k: (*routine(*a, **k)[:-1], 1))
+        lapack.cache_clear()
+
+    yield fail
+    lapack.cache_clear()
+
+
 # One line per acceptance criterion, echoed after the test summary so the
 # verdicts stay visible without -s.
 ACCEPTANCE_VERDICTS = []

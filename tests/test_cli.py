@@ -426,6 +426,44 @@ def test_replay_of_an_errored_trial_exits_three(tmp_path, capsys, monkeypatch, f
     assert err == f"trial error: {errors[0]['reason']}\n"
 
 
+@pytest.mark.parametrize("name, op", [
+    ("zgees", ("power", "--r", "0.5", "--engine", "quad")),
+    ("zgees", ("mean", "--r", "1.5")),
+    ("zggev", ("wradius",)),
+    ("dstevd", ("power", "--r", "-0.5", "--engine", "quad")),
+], ids=["power-zgees", "mean-zgees", "wradius-zggev", "power-dstevd"])
+def test_a_failed_lapack_routine_exits_two(tmp_path, capsys, monkeypatch, fail_lapack, name, op):
+    """A LAPACK failure is one stderr line and exit 2, not a traceback."""
+    from sectormeans import means
+
+    a, b = put(tmp_path, "a.json", gen_accretive(4, 1)), put(tmp_path, "b.json", gen_accretive(4, 2))
+    files = (a, b) if op[0] == "mean" else (a,)
+    # a rule built earlier in the process would not reach dstevd
+    monkeypatch.setattr(means, "_cached_rule", means._cached_rule.__wrapped__)
+    fail_lapack(name)
+    code, out, err = run_cli(capsys, "compute", op[0], *files, *op[1:])
+    assert code == 2 and out == ""
+    assert err == f"precondition failed: LAPACK {name} failed (info=1)\n"
+
+
+@pytest.mark.parametrize("wrapper, op", [
+    ("eigvals", ("wradius",)),
+    ("eig", ("power", "--r", "0.5", "--engine", "eigen")),
+])
+def test_a_numpy_linalg_error_exits_two(tmp_path, capsys, monkeypatch, wrapper, op):
+    """NumPy's LinAlgError, raised where its own LAPACK call fails to
+    converge, is one stderr line and exit 2, as a PreconditionError is."""
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, wrapper, failing)
+    path = put(tmp_path, "a.json", gen_accretive(4, 1))
+    code, out, err = run_cli(capsys, "compute", op[0], path, *op[1:])
+    assert code == 2 and out == ""
+    assert err == "precondition failed: Eigenvalues did not converge\n"
+
+
 def test_verify_small_json(tmp_path, capsys):
     out_path = tmp_path / "rep.json"
     code, out, _ = run_cli(capsys, "verify", "identities", "--trials", "3",

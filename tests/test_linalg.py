@@ -7,17 +7,22 @@ from hypothesis import strategies as st
 
 import sectormeans as sm
 from sectormeans import (
+    LapackError,
     PreconditionError,
     SingularMatrixError,
+    gen_accretive,
     gen_pd,
     gen_unitary,
     loewner_leq,
+    numerical_radius,
+    quadrature_rule,
 )
 from sectormeans.linalg import (
     as_matrix,
     imag_part,
     inverse,
     is_hermitian,
+    lapack,
     loewner_margin,
     op_norm,
     real_part,
@@ -169,3 +174,25 @@ def test_loewner_margin_against_zero_is_the_real_part_bound(n):
     assert loewner_margin(np.zeros_like(A), A) == loewner_margin(0.0, A)
     # the zero on the right, as a flipped accretivity term puts it
     assert loewner_margin(A, 0.0) == loewner_margin(A, np.zeros_like(A))
+
+
+def test_lapack_returns_every_output_but_info():
+    from scipy.linalg import lapack as routines
+
+    diag, off = np.array([2.0, 1.0, 3.0]), np.array([0.5, 0.25])
+    *expected, info = routines.dstevd(diag, off)
+    got = lapack("dstevd")(diag, off)
+    assert info == 0 and len(got) == len(expected) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+# zgees, under principal_power_quad and geometric_mean_integral, is
+# test_means.py::test_kernel_refuses_a_schur_failure
+@pytest.mark.parametrize("name, call", [
+    ("zggev", lambda: numerical_radius(gen_accretive(3, 1))),
+    ("dstevd", lambda: quadrature_rule(0.5, 16)),
+], ids=["radius-zggev", "rule-dstevd"])
+def test_a_failed_lapack_routine_is_refused_by_name(fail_lapack, name, call):
+    fail_lapack(name)
+    with pytest.raises(LapackError, match=f"LAPACK {name} failed \\(info=1\\)"):
+        call()

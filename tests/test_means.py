@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from sectormeans import (
     EigenbasisConditionError,
+    LapackError,
     NodeBudgetError,
     PreconditionError,
     PrincipalBranchError,
@@ -721,19 +722,11 @@ def test_jordan_mean_doubles_its_rule_on_every_branch(monkeypatch):
         assert rel_err(got, P @ oracle(r)) <= 1e-13
 
 
-def test_kernel_refuses_a_schur_failure(monkeypatch):
-    lapack = means.lapack
-
-    def failing(name):
-        def zgees(*args, **kwargs):
-            *out, _ = lapack(name)(*args, **kwargs)
-            return (*out, 1)
-        return zgees if name == "zgees" else lapack(name)
-
-    monkeypatch.setattr(means, "lapack", failing)
-    with pytest.raises(PreconditionError, match="quadrature kernel failed"):
+def test_kernel_refuses_a_schur_failure(fail_lapack):
+    fail_lapack("zgees")
+    with pytest.raises(LapackError, match="zgees"):
         principal_power_quad(gen_accretive(3, 1), 0.5)
-    with pytest.raises(PreconditionError, match="quadrature kernel failed"):
+    with pytest.raises(LapackError, match="zgees"):
         geometric_mean_integral(gen_accretive(3, 1), gen_accretive(3, 2), 1.5)
 
 

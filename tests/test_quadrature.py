@@ -118,12 +118,13 @@ def test_against_scipy_roots_jacobi(r, n):
 def test_rule_validation():
     good = quadrature_rule(0.5, 8)
     with pytest.raises(PreconditionError):
-        QuadratureRule(r=0.5, nodes=good.nodes[::-1].copy(), weights=good.weights,
-                       probes=good.probes)
-    with pytest.raises(PreconditionError):
-        QuadratureRule(r=0.5, nodes=good.nodes, weights=-good.weights, probes=good.probes)
-    with pytest.raises(PreconditionError):
-        QuadratureRule(r=0.5, nodes=good.nodes, weights=2.0 * good.weights, probes=good.probes)
+        QuadratureRule(r=0.5, nodes=good.nodes[::-1].copy(), probes=good.probes)
+    # the weights are row 0 of the probes
+    for factor in (-1.0, 2.0):
+        probes = good.probes.copy()
+        probes[0] *= factor
+        with pytest.raises(PreconditionError):
+            QuadratureRule(r=0.5, nodes=good.nodes, probes=probes)
     with pytest.raises(PreconditionError):
         quadrature_rule(0.0, 16)
     with pytest.raises(PreconditionError):
