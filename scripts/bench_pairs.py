@@ -2,11 +2,11 @@
 """Run the benchmark on two checkouts in alternating pairs and compare them.
 
     python3 scripts/bench_pairs.py --parent PARENT_DIR --change CHANGE_DIR \\
-        --workload compute-calls:10 --workload sweep-all:3 \\
-        --seconds 24 --trace 0 --out BENCH.json
+        --workload compute-calls:10 --workload sweep-all:3 --trace 0 --out BENCH.json
 
-Each checkout runs the benchmark command of BENCHMARK.json unchanged, from
-its own root, with `--workload W --seed S --seconds X --trace T` appended.
+The benchmark is the parent checkout's BENCHMARK.json: each checkout runs its
+command unchanged, from its own root, with `--workload W --seed S --seconds X
+--trace T` appended, where X is the benchmark's `run_seconds`.
 Pair k (from 1) uses seed k; odd pairs run the parent first and even pairs
 the change first, so a slow stretch of the machine falls on both sides.
 `--workload NAME:N` asks for N pairs of that workload (`--pairs` when N is
@@ -20,14 +20,14 @@ the environment.
 
 The output (to `--out`, or standard output) holds every run, each side's
 median and quartiles per metric (`statistics.quantiles`, n=4), and per
-metric the pairs that the change wins (ties count for neither side), in the
-direction BENCHMARK.json gives the metric.  Each end-to-end metric of
-BENCHMARK.json gets a no-regression verdict from its bound: "unresolved"
+metric the pairs that the change wins (ties, and pairs with a malformed run,
+count for neither side), in the direction BENCHMARK.json gives the metric.
+Each end-to-end metric gets a no-regression verdict from its bound: "unresolved"
 when the parent's spread (Q3 - Q1) / median is wider than the bound, else
 "worse" when the change's median is worse than the parent's by more than
 the bound, else "ok".  `--claim METRIC` also applies the gain rule: the
-change wins at least 9 pairs in 10 (and there are at least 10), and its
-median beats the parent's by more than the parent's Q3 - Q1.
+change wins at least 9 in 10 of the pairs run (and at least 10 are run), and
+its median beats the parent's by more than the parent's Q3 - Q1.
 
 The exit status is 0 when every run is well-formed and correct, no side's
 failed share is larger on the change, every verdict is "ok" and the claim,
@@ -42,7 +42,6 @@ import statistics
 import subprocess
 import sys
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 RESULT_KEYS = ("correct", "attempted", "failed", "metrics")
 # a run that takes longer than this is recorded as malformed, not waited for
@@ -140,16 +139,17 @@ def summarize(runs, benchmark, claim=None):
         verdicts[m["name"]] = {"parent_median": old["median"], "change_median": new["median"],
                                "worse_by": worse_by, "parent_spread": spread,
                                "bound": m["bound"], "verdict": verdict}
-    out = {"pairs": len(whole), "summary": summary, "wins": wins, "verdicts": verdicts}
+    ran = len({r["pair"] for r in runs})
+    out = {"pairs": ran, "summary": summary, "wins": wins, "verdicts": verdicts}
     if claim is not None:
         old = summary["parent"]["metrics"].get(claim)
         new = summary["change"]["metrics"].get(claim)
         won = wins.get(claim, 0)
-        out["claim"] = {"metric": claim, "wins": won, "pairs": len(whole), "holds": False}
+        out["claim"] = {"metric": claim, "wins": won, "pairs": ran, "holds": False}
         if old is not None and new is not None:
             gap, iqr = abs(new["median"] - old["median"]), old["q3"] - old["q1"]
             out["claim"].update(median_gap=gap, parent_iqr=iqr, holds=(
-                len(whole) >= 10 and won >= 0.9 * len(whole) and gap > iqr
+                ran >= 10 and won >= 0.9 * ran and gap > iqr
                 and _better(new["median"], old["median"], directions.get(claim, "lower"))))
     return out
 
@@ -174,31 +174,30 @@ def main(argv=None):
     ap.add_argument("--change", required=True, help="root of the changed checkout")
     ap.add_argument("--workload", action="append", default=[], metavar="NAME[:PAIRS]")
     ap.add_argument("--pairs", type=int, default=3, help="pairs per workload (default %(default)s)")
-    ap.add_argument("--seconds", type=float, default=24.0)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--claim", default=None, metavar="METRIC",
                     help="apply the gain rule to this metric")
-    ap.add_argument("--benchmark", default=str(ROOT / "BENCHMARK.json"))
     ap.add_argument("--out", default=None, help="output JSON path (default stdout)")
     args = ap.parse_args(argv)
-    benchmark = json.loads(pathlib.Path(args.benchmark).read_text(encoding="utf-8"))
-    command = benchmark["command"]
+    checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    benchmark = json.loads(
+        pathlib.Path(checkouts["parent"], "BENCHMARK.json").read_text(encoding="utf-8"))
+    command, seconds = benchmark["command"], benchmark["run_seconds"]
     try:
         plan = [parse_workload(w, args.pairs) for w in args.workload] or [
             (w["name"], args.pairs) for w in benchmark["workloads"]]
     except ValueError:
         ap.error("--workload takes NAME or NAME:PAIRS")
-    checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
 
     environment = {side: [] for side in SIDES}
-    report = {"command": command, "seconds": args.seconds, "trace": args.trace,
+    report = {"command": command, "seconds": seconds, "trace": args.trace,
               "checkouts": checkouts, "environment": environment, "workloads": {}}
     for workload, pairs in plan:
         runs = []
         for pair in range(1, pairs + 1):
             for side in SIDES if pair % 2 else SIDES[::-1]:
                 record, env = run_once(command, checkouts[side], workload, pair,
-                                       args.seconds, args.trace)
+                                       seconds, args.trace)
                 environment[side] += [line for line in env if line not in environment[side]]
                 runs.append({"pair": pair, "side": side, "seed": pair, **record})
                 status = record.get("malformed") or (

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import load_script
 
-# The stub logs each call to ../order.log and prints, after a progress line,
+# The stub logs each call (checkout, workload, seed, seconds) to ../order.log
+# and prints, after a progress line,
 # base + step * seed for each metric named in ./stub.json, or a NaN line for
 # a seed listed under "nan_seeds".
 STUB = """
@@ -15,7 +16,7 @@ import json, pathlib, sys
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 here = pathlib.Path.cwd()
 with open(here.parent / "order.log", "a") as fh:
-    fh.write(f"{here.name} {args['--workload']} {args['--seed']}\\n")
+    fh.write(f"{here.name} {args['--workload']} {args['--seed']} {args['--seconds']}\\n")
 spec = json.loads((here / "stub.json").read_text())
 seed = int(args["--seed"])
 print("progress", flush=True)
@@ -35,9 +36,11 @@ def bench(tmp_path):
     """run(parent_spec, change_spec, *args) -> (exit status, report, order log)."""
     stub = tmp_path / "stub.py"
     stub.write_text(STUB)
-    benchmark = tmp_path / "BENCHMARK.json"
-    benchmark.write_text(json.dumps({
+    # only the parent's BENCHMARK.json is read
+    (tmp_path / "parent").mkdir()
+    (tmp_path / "parent" / "BENCHMARK.json").write_text(json.dumps({
         "command": [sys.executable, str(stub)],
+        "run_seconds": 7,
         "workloads": [{"name": "w1"}, {"name": "w2"}],
         "end_to_end": [
             {"name": "ops_per_s", "better": "higher", "bound": 0.25},
@@ -53,8 +56,7 @@ def bench(tmp_path):
         log, out = tmp_path / "order.log", tmp_path / "out.json"
         log.unlink(missing_ok=True)
         code = script.main(["--parent", str(tmp_path / "parent"), "--change",
-                            str(tmp_path / "change"), "--benchmark", str(benchmark),
-                            "--seconds", "1", "--out", str(out), *args])
+                            str(tmp_path / "change"), "--out", str(out), *args])
         return code, json.loads(out.read_text()), log.read_text().split("\n")[:-1]
 
     return run
@@ -66,7 +68,8 @@ def test_pairs_alternate_and_a_clear_gain_holds(bench):
     code, report, order = bench(parent, change, "--workload", "w1:10", "--claim", "ops_per_s")
     assert code == 0 and report["ok"]
     # odd pairs run the parent first, even pairs the change first; seed = pair
-    assert order[:4] == ["parent w1 1", "change w1 1", "change w1 2", "parent w1 2"]
+    # every run lasts the benchmark's run_seconds
+    assert order[:4] == ["parent w1 1 7", "change w1 1 7", "change w1 2 7", "parent w1 2 7"]
     assert len(order) == 20 and report["environment"]["change"] == ["nproc=2 stub"]
     w1 = report["workloads"]["w1"]
     assert w1["pairs"] == 10 and len(w1["runs"]) == 20
@@ -108,7 +111,7 @@ def test_a_nan_result_line_is_malformed(bench):
     assert [(r["side"], r["seed"], r["exit"]) for r in bad] == [("change", 2, 0)]
     assert bad[0]["malformed"].startswith("last line is not strict JSON")
     assert w2["summary"]["change"]["runs"] == 2 and w2["summary"]["change"]["malformed"] == 1
-    assert w2["pairs"] == 2
+    assert w2["pairs"] == 3 and w2["wins"]["ops_per_s"] == 0
 
 
 def test_parse_result_refuses_what_is_not_a_strict_result():
@@ -118,3 +121,19 @@ def test_parse_result_refuses_what_is_not_a_strict_result():
     for text in ("", '{"metrics": {}}', '{"correct": true, "attempted": Infinity, "failed": 0, '
                  '"metrics": {}}', "[1, 2]"):
         assert isinstance(parse(text), str)
+
+
+def test_a_claim_counts_every_pair_run(bench):
+    # the change wins every whole pair, but the parent's seed-4 run is NaN:
+    # 9 wins of the 10 pairs run meet the rule, 8 of 10 would not
+    parent = {"metrics": {"ops_per_s": [100, 1], "op_p50_ms": [10, 0]}, "nan_seeds": [4]}
+    change = {"metrics": {"ops_per_s": [200, 1], "op_p50_ms": [10, 0]}}
+    code, report, _ = bench(parent, change, "--workload", "w1:10", "--claim", "ops_per_s")
+    w1 = report["workloads"]["w1"]
+    assert w1["claim"]["wins"] == 9 and w1["claim"]["pairs"] == 10 and w1["claim"]["holds"]
+    # a malformed run fails the comparison even when the claim holds
+    assert code == 1 and not report["ok"]
+    parent["nan_seeds"] = [4, 7]
+    code, report, _ = bench(parent, change, "--workload", "w1:10", "--claim", "ops_per_s")
+    w1 = report["workloads"]["w1"]
+    assert w1["claim"]["wins"] == 8 and w1["claim"]["pairs"] == 10 and not w1["claim"]["holds"]
