@@ -27,8 +27,6 @@ import sys
 import warnings
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .checks import SUITE_NAMES, suite_checks
 from .linalg import PreconditionError
 from .matrixio import dumps_matrix, parse_matrix
@@ -255,7 +253,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (PreconditionError, np.linalg.LinAlgError) as exc:
+    except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 2
 

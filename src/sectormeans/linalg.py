@@ -11,11 +11,14 @@ sector cones are all measured by it.
 `op_norm` take arrays as given: callers pass arrays that already went
 through it.
 
-`lapack(name)` is the one way into SciPy.  It imports `scipy.linalg.lapack`
-on its first call, so `import sectormeans` does not load SciPy, and its
-routine raises LapackError on a nonzero `info`.  The Gauss-Jacobi rules
-(`dstevd`), the kernel's Schur form (`zgees`) and the numerical radius
-(`zggev`) call it, each at SciPy's default workspace.
+`lapack(name)` is the package's one door to LAPACK.  It serves NumPy's
+LAPACK-backed wrappers by their NumPy names (`eig`, `eigh`, `svd`, `solve`,
+...) and the routines NumPy lacks from `scipy.linalg.lapack`: the
+Gauss-Jacobi rules (`dstevd`), the kernel's Schur form (`zgees`) and the
+numerical radius (`zggev`), each at SciPy's default workspace.  SciPy is
+imported at the first SciPy routine, so `import sectormeans` does not load
+it.  NumPy's LinAlgError and a nonzero SciPy `info` both raise LapackError
+naming the routine.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ class SingularMatrixError(PreconditionError):
 
 
 class LapackError(PreconditionError):
-    """A LAPACK routine returned a nonzero `info`."""
+    """A LAPACK routine failed: a nonzero `info`, or NumPy's LinAlgError."""
 
 
 def as_matrix(A) -> np.ndarray:
@@ -74,7 +77,7 @@ def as_matrix(A) -> np.ndarray:
         raise PreconditionError(f"expected a square matrix, got shape {M.shape}")
     if M.shape[0] == 0:
         raise PreconditionError("expected a non-empty matrix, got shape (0, 0)")
-    if not np.all(np.isfinite(M.real)) or not np.all(np.isfinite(M.imag)):
+    if not np.isfinite(M).all():
         raise PreconditionError("matrix entries must be finite")
     return M
 
@@ -107,17 +110,17 @@ def inverse(A: np.ndarray) -> np.ndarray:
     Raises SingularMatrixError when the reciprocal condition number
     (sigma_min / sigma_max) falls below RCOND_FLOOR.
     """
-    sv = np.linalg.svd(A, compute_uv=False)
+    sv = lapack("svd")(A, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] / sv[0] < RCOND_FLOOR:
         raise SingularMatrixError(
             f"matrix is singular to working precision (rcond={0.0 if sv[0] == 0.0 else sv[-1] / sv[0]:.3e})"
         )
-    return np.linalg.inv(A)
+    return lapack("inv")(A)
 
 
 def sqrt_pd(H: np.ndarray) -> np.ndarray:
     """Principal square root of a Hermitian positive definite matrix."""
-    w, V = np.linalg.eigh(H)
+    w, V = lapack("eigh")(H)
     if w[0] <= 0.0:
         raise PreconditionError(
             f"matrix is not positive definite (min eigenvalue {w[0]:.3e})"
@@ -134,8 +137,7 @@ def loewner_margin(lhs: np.ndarray | float, rhs: np.ndarray | float) -> float:
     max(||lhs||, ||rhs||), under which the comparison is invariant to scaling
     both.  Operands are trusted arrays; nothing is validated here.
     """
-    diff = rhs - lhs
-    return float(np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))[0])
+    return float(lapack("eigvalsh")(real_part(rhs - lhs))[0])
 
 
 def loewner_leq(H: np.ndarray, K: np.ndarray) -> tuple[bool, float]:
@@ -154,22 +156,34 @@ def loewner_leq(H: np.ndarray, K: np.ndarray) -> tuple[bool, float]:
 
 def singular_values(A: np.ndarray) -> np.ndarray:
     """Singular values in descending order."""
-    return np.linalg.svd(A, compute_uv=False)
+    return lapack("svd")(A, compute_uv=False)
 
 
 def op_norm(A: np.ndarray) -> float:
     """Spectral norm (largest singular value)."""
-    return float(np.linalg.svd(A, compute_uv=False)[0])
+    return float(lapack("svd")(A, compute_uv=False)[0])
 
 
 @functools.cache
 def lapack(name: str):
-    """The routine `name` (such as "dstevd") of scipy.linalg.lapack, returning
-    all but its `info`, which raises LapackError naming the routine if nonzero.
+    """The LAPACK routine `name`: NumPy's wrapper of that name (such as
+    "eigh"), else the routine of scipy.linalg.lapack (such as "dstevd"),
+    returning all its outputs but `info`.  NumPy's LinAlgError, or a nonzero
+    `info`, raises LapackError naming the routine.
 
-    SciPy is imported on the first call, not with this module, because most
-    commands never need it.
+    SciPy is imported on the first call for one of its routines, not with
+    this module, because most commands never need it.
     """
+    routine = getattr(np.linalg, name, None)
+    if routine is not None:
+
+        def call(*args, **kwargs):
+            try:
+                return routine(*args, **kwargs)
+            except np.linalg.LinAlgError as exc:
+                raise LapackError(f"LAPACK {name} failed ({exc})") from None
+
+        return call
     from scipy.linalg import lapack as routines
 
     routine = getattr(routines, name)

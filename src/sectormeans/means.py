@@ -162,25 +162,25 @@ def principal_power_eigen(A: np.ndarray, r: float) -> np.ndarray:
     if r == 1.0:
         return A.copy()
     if is_hermitian(A):
-        w, V = np.linalg.eigh(A)
+        w, V = lapack("eigh")(A)
         if w[0] <= 0.0:
             raise PrincipalBranchError(
                 f"Hermitian input has eigenvalue {w[0]:.3e} on (-inf, 0]"
             )
         with np.errstate(over="ignore", invalid="ignore"):
             return _finite((V * w**r) @ V.conj().T)
-    lam, V = np.linalg.eig(A)
+    lam, V = lapack("eig")(A)
     tol = 1e-13 * np.abs(lam).max()
     if ((lam.real <= tol) & (np.abs(lam.imag) <= tol)).any():
         raise PrincipalBranchError("spectrum touches (-inf, 0]; principal power undefined")
-    cond = np.linalg.cond(V)
+    cond = lapack("cond")(V)
     if cond > EIG_COND_LIMIT:
         raise EigenbasisConditionError(
             f"eigenvector basis condition {cond:.3e} exceeds {EIG_COND_LIMIT:.0e}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
         powered = np.exp(r * np.log(lam))
-        return _finite(np.linalg.solve(V.T, ((V * powered).T)).T)
+        return _finite(lapack("solve")(V.T, ((V * powered).T)).T)
 
 
 def _scaled(
@@ -244,8 +244,8 @@ def _resolvent_mean(
     starts at the largest count their centred spectra need and doubles until
     every pair's truncation estimate is below TRUNCATION_TOL; `nodes` is the
     budget, and NodeBudgetError is raised when that takes more nodes.  A
-    result past the double range, or a failed solve with P, raises
-    PreconditionError, and a failed zgees LapackError.
+    result past the double range raises PreconditionError, and a failed
+    solve with P or zgees LapackError.
 
     The nodes run in the Schur basis P^{-1} Q/c = Z T_c Z* (LAPACK zgees),
     where the pencil (1-s) Q/c + s P is P Z ((1-s) T_c + s I) Z*, triangular
@@ -266,10 +266,7 @@ def _resolvent_mean(
         shift = 2 * int((math.frexp(np.abs(Q).max())[1] - exponent_p) / 2)
         half = shift // 2
         Qb = Q * math.ldexp(1.0, -half) * math.ldexp(1.0, half - shift)
-        try:
-            M = Qb if P is None else np.linalg.solve(P, Qb)
-        except np.linalg.LinAlgError as exc:
-            raise PreconditionError(f"the quadrature kernel failed: {exc}") from None
+        M = Qb if P is None else lapack("solve")(P, Qb)
         T, _, lam, Z, _ = lapack("zgees")(_unordered, M)
         if not _off_cut(lam):
             raise PrincipalBranchError("spectrum touches (-inf, 0]; principal branch undefined")

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .linalg import PreconditionError, as_matrix, lapack, op_norm, singular_values
+from .linalg import PreconditionError, as_matrix, lapack, op_norm, real_part, singular_values
 
 __all__ = ["NORM_KINDS", "RadiusCertificateError", "ui_norm", "norm_table", "numerical_radius"]
 
@@ -77,7 +77,7 @@ def norm_table(A: np.ndarray) -> dict:
 def _support(A: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     phase = np.exp(-1j * thetas)[:, None, None]
     rotated = 0.5 * (phase * A + np.conj(phase) * A.conj().T)
-    return np.linalg.eigvalsh(rotated)[..., -1]
+    return lapack("eigvalsh")(rotated)[..., -1]
 
 
 def _ascend(A: np.ndarray, theta: float) -> float:
@@ -89,12 +89,11 @@ def _ascend(A: np.ndarray, theta: float) -> float:
     The climb stops at a non-concave point, at a repeated top eigenvalue,
     where a step would lower f, or once the step falls to 1e-8.
     """
-    Ah = A.conj().T
-    real, imag = 0.5 * (A + Ah), -0.5j * (A - Ah)
+    real, imag = real_part(A), -0.5j * (A - A.conj().T)
     best = -math.inf
     for _ in range(NEWTON_STEPS):
         c, s = math.cos(theta), math.sin(theta)
-        lam, V = np.linalg.eigh(c * real + s * imag)
+        lam, V = lapack("eigh")(c * real + s * imag)
         value = float(lam[-1])
         if value <= best:
             break
@@ -153,7 +152,7 @@ def numerical_radius(A: np.ndarray) -> float:
     # eigvalsh (a few n * eps) sits on the peak just climbed: a restart from
     # it would only spend one more pencil solve to confirm the same level.
     slack = 4.0 * n * eps
-    lam = np.linalg.eigvals(A)
+    lam = lapack("eigvals")(A)
     start, level = float(np.angle(lam[np.abs(lam).argmax()])), -math.inf
     while True:
         level = max(level, _ascend(A, start))

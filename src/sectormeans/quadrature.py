@@ -118,7 +118,7 @@ def node_count(mu: np.ndarray, budget: int = MAX_NODES) -> int:
     return max(MIN_NODES, math.ceil(need))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes in [0, 1] and positive weights summing to 1 for one mean order.
 

@@ -22,6 +22,7 @@ from .linalg import (
     PreconditionError,
     as_matrix,
     imag_part,
+    lapack,
     loewner_margin,
     op_norm,
     real_part,
@@ -86,14 +87,14 @@ def sector_angle(A: np.ndarray) -> float:
     """
     A = as_matrix(A)
     R = real_part(A)
-    w, V = np.linalg.eigh(R)
+    w, V = lapack("eigh")(R)
     if w[0] <= _accretive_floor(A):
         raise PreconditionError(
             f"sector angle requires an accretive matrix (min Re-part eigenvalue {w[0]:.3e})"
         )
     Rinvsqrt = (V / np.sqrt(w)) @ V.conj().T
     T = Rinvsqrt @ imag_part(A) @ Rinvsqrt
-    rho = float(np.abs(np.linalg.eigvalsh(0.5 * (T + T.conj().T))).max())
+    rho = float(np.abs(lapack("eigvalsh")(real_part(T))).max())
     return math.atan(rho)
 
 
@@ -141,8 +142,7 @@ def _pd(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
-    M = _complex_gaussian(n, rng)
-    return 0.5 * (M + M.conj().T)
+    return real_part(_complex_gaussian(n, rng))
 
 
 def _accretive(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -150,7 +150,7 @@ def _accretive(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    Q, R = np.linalg.qr(_complex_gaussian(n, rng))
+    Q, R = lapack("qr")(_complex_gaussian(n, rng))
     d = np.diagonal(R).copy()
     d[d == 0] = 1.0
     return Q * (d / np.abs(d))

@@ -41,16 +41,24 @@ def rng():
 
 @pytest.fixture
 def fail_lapack(monkeypatch):
-    """fail_lapack(name) makes SciPy's LAPACK routine `name` return its
-    outputs with info = 1; the cache of `linalg.lapack` is cleared on both
-    sides, so the package calls the failing routine and then the real one."""
-    from scipy.linalg import lapack as routines
-
+    """fail_lapack(name) makes the routine `name` of `linalg.lapack` fail:
+    NumPy's wrapper of that name raises LinAlgError("did not converge"), and
+    SciPy's LAPACK routine returns its outputs with info = 1.  The door's
+    cache is cleared on both sides, so the package calls the failing routine
+    and then the real one."""
     from sectormeans.linalg import lapack
 
+    def raise_linalg_error(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
     def fail(name):
-        routine = getattr(routines, name)
-        monkeypatch.setattr(routines, name, lambda *a, **k: (*routine(*a, **k)[:-1], 1))
+        if hasattr(np.linalg, name):
+            monkeypatch.setattr(np.linalg, name, raise_linalg_error)
+        else:
+            from scipy.linalg import lapack as routines
+
+            routine = getattr(routines, name)
+            monkeypatch.setattr(routines, name, lambda *a, **k: (*routine(*a, **k)[:-1], 1))
         lapack.cache_clear()
 
     yield fail

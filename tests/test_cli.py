@@ -450,18 +450,15 @@ def test_a_failed_lapack_routine_exits_two(tmp_path, capsys, monkeypatch, fail_l
     ("eigvals", ("wradius",)),
     ("eig", ("power", "--r", "0.5", "--engine", "eigen")),
 ])
-def test_a_numpy_linalg_error_exits_two(tmp_path, capsys, monkeypatch, wrapper, op):
+def test_a_numpy_linalg_error_exits_two(tmp_path, capsys, fail_lapack, wrapper, op):
     """NumPy's LinAlgError, raised where its own LAPACK call fails to
-    converge, is one stderr line and exit 2, as a PreconditionError is."""
-
-    def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-    monkeypatch.setattr(np.linalg, wrapper, failing)
+    converge, reaches the CLI as the LapackError naming the wrapper: one
+    stderr line and exit 2."""
+    fail_lapack(wrapper)
     path = put(tmp_path, "a.json", gen_accretive(4, 1))
     code, out, err = run_cli(capsys, "compute", op[0], path, *op[1:])
     assert code == 2 and out == ""
-    assert err == "precondition failed: Eigenvalues did not converge\n"
+    assert err == f"precondition failed: LAPACK {wrapper} failed (did not converge)\n"
 
 
 def test_verify_small_json(tmp_path, capsys):

@@ -1,5 +1,8 @@
 """Core linear-algebra helpers: parts, inverses, square roots, orderings."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,9 +16,12 @@ from sectormeans import (
     gen_accretive,
     gen_pd,
     gen_unitary,
+    is_accretive,
     loewner_leq,
     numerical_radius,
+    principal_power_eigen,
     quadrature_rule,
+    sector_angle,
 )
 from sectormeans.linalg import (
     as_matrix,
@@ -68,8 +74,12 @@ def test_empty_matrix_is_a_precondition_error(call):
 
 
 def test_as_matrix_rejects_nonfinite():
-    with pytest.raises(PreconditionError):
-        as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    # NaN, then NaN and inf in the imaginary part, then -inf in the real part
+    for bad in (np.nan, complex(0.0, np.nan), complex(1.0, np.inf), -np.inf):
+        A = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+        A[0, 0] = bad
+        with pytest.raises(PreconditionError, match="matrix entries must be finite"):
+            as_matrix(A)
 
 
 def test_as_matrix_accepts_nested_lists():
@@ -188,11 +198,43 @@ def test_lapack_returns_every_output_but_info():
 
 # zgees, under principal_power_quad and geometric_mean_integral, is
 # test_means.py::test_kernel_refuses_a_schur_failure
-@pytest.mark.parametrize("name, call", [
-    ("zggev", lambda: numerical_radius(gen_accretive(3, 1))),
-    ("dstevd", lambda: quadrature_rule(0.5, 16)),
-], ids=["radius-zggev", "rule-dstevd"])
-def test_a_failed_lapack_routine_is_refused_by_name(fail_lapack, name, call):
+@pytest.mark.parametrize("name, call, reason", [
+    ("zggev", lambda: numerical_radius(gen_accretive(3, 1)), "info=1"),
+    ("dstevd", lambda: quadrature_rule(0.5, 16), "info=1"),
+    ("eig", lambda: principal_power_eigen(gen_accretive(3, 1), 0.5), "did not converge"),
+    ("eigh", lambda: sector_angle(gen_accretive(3, 1)), "did not converge"),
+    ("eigvalsh", lambda: is_accretive(gen_accretive(3, 1)), "did not converge"),
+    ("eigvals", lambda: numerical_radius(gen_accretive(3, 1)), "did not converge"),
+    ("svd", lambda: op_norm(gen_accretive(3, 1)), "did not converge"),
+    ("inv", lambda: inverse(gen_accretive(3, 1)), "did not converge"),
+    ("qr", lambda: gen_unitary(3, 1), "did not converge"),
+], ids=["radius-zggev", "rule-dstevd", "power-eig", "angle-eigh", "accretive-eigvalsh",
+        "radius-eigvals", "norm-svd", "inverse-inv", "unitary-qr"])
+def test_a_failed_lapack_routine_is_refused_by_name(fail_lapack, name, call, reason):
     fail_lapack(name)
-    with pytest.raises(LapackError, match=f"LAPACK {name} failed \\(info=1\\)"):
+    with pytest.raises(LapackError, match=f"^LAPACK {name} failed \\({reason}\\)$"):
         call()
+
+
+# LAPACK-backed numpy.linalg routines; norm is not one (its Frobenius and
+# vector norms call no LAPACK)
+LAPACK_BACKED = ("eig", "eigh", "eigvals", "eigvalsh", "svd", "solve", "inv", "qr", "cond",
+                 "cholesky", "lstsq", "det", "slogdet", "pinv", "matrix_rank")
+
+
+def test_only_linalg_opens_the_door_to_lapack():
+    """Every module but linalg reaches LAPACK through linalg.lapack, so each
+    failure meets the one typed refusal, LapackError."""
+    door = re.compile(
+        rf"\bLinAlgError\b|\blinalg\.({'|'.join(LAPACK_BACKED)})\b|from (numpy|scipy)\.linalg import"
+    )
+    package = Path(__file__).resolve().parents[1] / "src" / "sectormeans"
+    sources = sorted(p for p in package.glob("*.py") if p.name != "linalg.py")
+    assert len(sources) > 5
+    found = [
+        f"{path.name}:{i}: {line.strip()}"
+        for path in sources
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if door.search(line)
+    ]
+    assert found == []

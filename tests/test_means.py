@@ -497,7 +497,7 @@ def test_quad_mean_scales_the_product_not_c_to_the_r(a, b, target):
 def test_kernel_refuses_a_lapack_failure():
     # a singular P reaches LAPACK only through the kernel's trusted entry
     P, Q = np.diag([1.0, 0.0]).astype(complex), np.eye(2, dtype=complex)
-    with pytest.raises(PreconditionError, match="quadrature kernel failed"):
+    with pytest.raises(LapackError, match="^LAPACK solve failed \\(Singular matrix\\)$"):
         _resolvent_mean([(P, Q)], 0.5, 64)
 
 

@@ -134,6 +134,19 @@ def test_rule_validation():
     assert len(good) == 8
 
 
+def test_rules_compare_and_hash_by_identity():
+    """A rule's fields are arrays, so a rule is equal only to itself, and
+    hashes, as the rule cache's values may be kept in sets and dicts."""
+    from sectormeans import means
+
+    rule = quadrature_rule(0.5, 8)
+    assert rule == rule
+    assert rule != quadrature_rule(0.5, 8)
+    assert hash(rule) == hash(rule)
+    assert len({rule, quadrature_rule(0.5, 8)}) == 2
+    assert means._cached_rule(0.5, 8) is means._cached_rule(0.5, 8)
+
+
 @pytest.mark.parametrize("r", [-0.6, 0.4, 1.7])
 def test_probes_read_jacobi_coefficients(r):
     """Row 0 is the weights; the other rows pick out coefficients of degree
