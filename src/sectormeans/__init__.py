@@ -37,12 +37,9 @@ from .means import (
     geometric_mean,
     geometric_mean_integral,
     harmonic_mean,
-    inverse_mean_identity,
-    negation_identity,
     principal_power,
     principal_power_eigen,
     principal_power_quad,
-    reflection_identity,
 )
 from .maps import (
     MAP_KINDS,
@@ -100,13 +97,11 @@ __all__ = [
     "harmonic_mean",
     "in_sector",
     "informational_catalog",
-    "inverse_mean_identity",
     "is_accretive",
     "jacobi_exponents",
     "loads_matrix",
     "loewner_leq",
     "mean_order_branch",
-    "negation_identity",
     "numerical_radius",
     "parse_matrix",
     "principal_power",
@@ -114,7 +109,6 @@ __all__ = [
     "principal_power_quad",
     "quadrature_rule",
     "random_map",
-    "reflection_identity",
     "replay_trial",
     "run_check",
     "run_suite",

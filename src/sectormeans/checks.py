@@ -4,12 +4,13 @@ Every entry states a claim about matrices drawn from its hypothesis classes
 ("pd", "accretive", "sectorial") and evaluates to a slack margin: the claim
 holds on a sampled instance when margin >= -tol * scale.
 
-An inequality is a list of terms (lhs, rhs), each meaning lhs <= rhs: in the
-Loewner order for matrices (margin lambda_min(rhs - lhs)) and as plain
-numbers for floats (margin rhs - lhs).  The claim's margin is the smallest
-term margin, and a reversed or flipped claim swaps the sides of every term.
-Identity claims report minus the relative distance between the two sides and
-refuse a flip.
+Every claim is a list of terms (lhs, rhs).  In an inequality each term means
+lhs <= rhs: in the Loewner order for matrices (margin lambda_min(rhs - lhs))
+and as plain numbers for floats (margin rhs - lhs).  The claim's margin is
+the smallest term margin, and a reversed or flipped claim swaps the sides of
+every term.  In an identity each term means lhs = rhs between two matrices,
+the claim's margin is minus the largest relative distance between the two
+sides, and the claim is neither reversed nor flipped.
 
 A side that depends on the sector angle is a function of it, so its term is
 measured twice: once at the angle the generator was asked for (the primary,
@@ -39,10 +40,7 @@ from .means import (
     arithmetic_mean,
     geometric_mean,
     harmonic_mean,
-    inverse_mean_identity,
-    negation_identity,
     principal_power_eigen,
-    reflection_identity,
 )
 from .norms import numerical_radius, ui_norm
 from .quadrature import MAX_NODES
@@ -112,39 +110,33 @@ TermsOf = Callable[[Instance, EvalContext], list[Term]]
 class Check:
     """One catalog entry, its claim carried as data.
 
-    An inequality holds `terms`, the function that gives its terms (lhs, rhs)
-    on an instance, and `reverse`, which states each term with its sides
-    swapped.  An identity holds `rel`, the relative distance between its two
-    sides.  `evaluate` measures either one.
+    `terms` gives the claim's terms (lhs, rhs) on an instance, and
+    `is_identity` says whether each term states lhs <= rhs or lhs = rhs.
+    An inequality's `reverse` states each term with its sides swapped.
+    `evaluate` measures either kind.
     """
 
     id: str
     name: str
     anchor: str
     args: tuple[str, ...]
+    terms: TermsOf
     r_intervals: tuple[tuple[float, float], ...] = ()
     uses_map: bool = False
     uses_norm: bool = False
     informational: bool = False
     n_aux_uniform: int = 0
-    terms: Optional[TermsOf] = None
     reverse: bool = False
-    rel: Optional[Callable[[Instance, EvalContext], float]] = None
+    is_identity: bool = False
 
     def __post_init__(self) -> None:
-        if (self.terms is None) == (self.rel is None):
-            raise PreconditionError(f"check {self.id} needs exactly one of terms and rel")
-        if self.reverse and self.rel is not None:
+        if self.reverse and self.is_identity:
             raise PreconditionError(f"identity check {self.id} cannot be reversed")
         if not all(c in ("pd", "accretive", "sectorial") for c in self.args):
             raise PreconditionError(f"unknown argument class in {self.args}")
         for lo, hi in self.r_intervals:
             if not (-1.0 <= lo < hi <= 2.0):
                 raise PreconditionError(f"r interval {(lo, hi)} out of the admissible range")
-
-    @property
-    def is_identity(self) -> bool:
-        return self.rel is not None
 
     @property
     def kind(self) -> str:
@@ -154,16 +146,17 @@ class Check:
     def evaluate(self, inst: Instance, ctx: EvalContext, flip: bool) -> TrialEval:
         """Measure the claim on one instance; flip swaps the sides of every term.
 
-        The scale is the largest term scale.  At the realized angle only the
-        terms with an angle-dependent side are measured again, and for their
-        margin alone.
+        An identity's margin is minus the largest relative distance between
+        the sides of a term, at scale 1.  An inequality's scale is the
+        largest term scale.  At the realized angle only the terms with an
+        angle-dependent side are measured again, and for their margin alone.
         """
-        if self.is_identity:
-            if flip:
-                raise PreconditionError(f"direction flip is undefined for identity check {self.id}")
-            rel = self.rel(inst, ctx)
-            return TrialEval(-rel, 1.0, -rel)
+        if self.is_identity and flip:
+            raise PreconditionError(f"direction flip is undefined for identity check {self.id}")
         terms = self.terms(inst, ctx)
+        if self.is_identity:
+            rel = max(_rel(lhs, rhs) for lhs, rhs in terms)
+            return TrialEval(-rel, 1.0, -rel)
         if flip != self.reverse:
             terms = [(rhs, lhs) for lhs, rhs in terms]
         sides = [(_at(lhs, inst.alpha), _at(rhs, inst.alpha)) for lhs, rhs in terms]
@@ -358,55 +351,50 @@ def _sector_closure(inst: Instance, ctx: EvalContext) -> list[Term]:
 
 
 # ---------------------------------------------------------------------------
-# identities: each rel is the relative distance between the two sides
+# identities: each term (lhs, rhs) states lhs = rhs
 
 
-def _rel_reflection(inst: Instance, ctx: EvalContext) -> float:
-    return _rel(
-        reflection_identity(inst.A, inst.B, inst.r),
-        geometric_mean(inst.A, inst.B, inst.r),
-    )
+def _reflection(inst: Instance, ctx: EvalContext) -> list[Term]:
+    """A #_r B = B (A #_{2-r} B)^{-1} B for r in (1, 2)."""
+    A, B, r = inst.A, inst.B, inst.r
+    return [(B @ inverse(geometric_mean(A, B, 2.0 - r)) @ B, geometric_mean(A, B, r))]
 
 
-def _rel_negation(inst: Instance, ctx: EvalContext) -> float:
-    return _rel(
-        negation_identity(inst.A, inst.B, inst.r),
-        geometric_mean(inst.A, inst.B, inst.r),
-    )
+def _negation(inst: Instance, ctx: EvalContext) -> list[Term]:
+    """A #_r B = A (A^{-1} #_{-r} B^{-1}) A for r in (-1, 0)."""
+    A, B, r = inst.A, inst.B, inst.r
+    return [(A @ geometric_mean(inverse(A), inverse(B), -r) @ A, geometric_mean(A, B, r))]
 
 
-def _rel_inverse_mean(inst: Instance, ctx: EvalContext) -> float:
-    lhs, rhs = inverse_mean_identity(inst.A, inst.B, inst.r)
-    return _rel(lhs, rhs)
+def _inverse_mean(inst: Instance, ctx: EvalContext) -> list[Term]:
+    """(A #_r B)^{-1} = A^{-1} #_r B^{-1}."""
+    A, B, r = inst.A, inst.B, inst.r
+    return [(inverse(geometric_mean(A, B, r)), geometric_mean(inverse(A), inverse(B), r))]
 
 
-def _rel_integral_vs_congruence(inst: Instance, ctx: EvalContext) -> float:
-    return _rel(
-        _mean(inst.A, inst.B, inst.r, ctx),
-        geometric_mean(inst.A, inst.B, inst.r),
-    )
+def _integral_vs_congruence(inst: Instance, ctx: EvalContext) -> list[Term]:
+    return [(_mean(inst.A, inst.B, inst.r, ctx), geometric_mean(inst.A, inst.B, inst.r))]
 
 
-def _rel_quad_vs_eigen(inst: Instance, ctx: EvalContext) -> float:
-    return _rel(
+def _quad_vs_eigen(inst: Instance, ctx: EvalContext) -> list[Term]:
+    return [(
         _resolvent_mean([(None, inst.A)], inst.r, ctx.nodes)[0],
         principal_power_eigen(inst.A, inst.r),
-    )
+    )]
 
 
-def _rel_resolvent_split(inst: Instance, ctx: EvalContext) -> float:
+def _resolvent_split(inst: Instance, ctx: EvalContext) -> list[Term]:
     A = inst.A
     eye = np.eye(len(A), dtype=np.complex128)
-    worst = 0.0
+    terms = []
     for s in inst.aux:
         resolvent = inverse(s * eye + (1.0 - s) * A)
         harm = harmonic_mean(eye, A, s)
-        lhs_power = A @ A @ resolvent
-        rhs_power = A / (1.0 - s) - (s / (1.0 - s)) * harm
-        lhs_inv = resolvent
-        rhs_inv = eye / s - ((1.0 - s) / s) * harm
-        worst = max(worst, _rel(lhs_power, rhs_power), _rel(lhs_inv, rhs_inv))
-    return worst
+        terms += [
+            (A @ A @ resolvent, A / (1.0 - s) - (s / (1.0 - s)) * harm),
+            (resolvent, eye / s - ((1.0 - s) / s) * harm),
+        ]
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -564,33 +552,38 @@ def _build_catalog() -> tuple[list[Check], list[Check]]:
         ),
         Check(
             id="I01", name="reflection-identity",
-            args=("accretive", "accretive"), r_intervals=(R12,), rel=_rel_reflection,
+            args=("accretive", "accretive"), r_intervals=(R12,), terms=_reflection,
+            is_identity=True,
             anchor="A #_r B = B inv(A #_(2-r) B) B for accretive A, B, r in (1,2)",
         ),
         Check(
             id="I02", name="negation-identity",
-            args=("accretive", "accretive"), r_intervals=(RNEG,), rel=_rel_negation,
+            args=("accretive", "accretive"), r_intervals=(RNEG,), terms=_negation,
+            is_identity=True,
             anchor="A #_r B = A (inv(A) #_(-r) inv(B)) A for accretive A, B, r in (-1,0)",
         ),
         Check(
             id="I03", name="inverse-mean-identity",
-            args=("accretive", "accretive"), r_intervals=(R01, R12, RNEG), rel=_rel_inverse_mean,
+            args=("accretive", "accretive"), r_intervals=(R01, R12, RNEG), terms=_inverse_mean,
+            is_identity=True,
             anchor="inv(A #_r B) = inv(A) #_r inv(B) for accretive A, B on every branch of r",
         ),
         Check(
             id="I04", name="integral-vs-congruence",
             args=("accretive", "accretive"), r_intervals=(R01, R12, RNEG),
-            rel=_rel_integral_vs_congruence,
+            terms=_integral_vs_congruence, is_identity=True,
             anchor="integral form of A #_r B matches the congruence form on every branch of r",
         ),
         Check(
             id="I05", name="quad-vs-eigen",
-            args=("accretive",), r_intervals=(R01, R12, RNEG), rel=_rel_quad_vs_eigen,
+            args=("accretive",), r_intervals=(R01, R12, RNEG), terms=_quad_vs_eigen,
+            is_identity=True,
             anchor="quadrature power A^r matches eigendecomposition power on every branch of r",
         ),
         Check(
             id="I06", name="resolvent-split-identities",
-            args=("accretive",), n_aux_uniform=10, rel=_rel_resolvent_split,
+            args=("accretive",), n_aux_uniform=10, terms=_resolvent_split,
+            is_identity=True,
             anchor="A^2 inv(sI+(1-s)A) = A/(1-s) - s/(1-s)*(I !_s A) and inv(sI+(1-s)A) = I/s - (1-s)/s*(I !_s A)",
         ),
     ]

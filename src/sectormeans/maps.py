@@ -8,7 +8,7 @@ the identity to the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -36,7 +36,6 @@ class Compression:
 
     n: int
     k: int
-    kind: str = field(default="compression", init=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.k <= self.n:
@@ -55,7 +54,6 @@ class Pinching:
     """Phi(A) keeps the diagonal blocks of the given sizes and zeroes the rest."""
 
     blocks: tuple[int, ...]
-    kind: str = field(default="pinching", init=False)
 
     def __post_init__(self) -> None:
         if not self.blocks or any(b < 1 for b in self.blocks):
@@ -85,7 +83,6 @@ class UnitaryMixture:
 
     unitaries: tuple[np.ndarray, ...]
     probs: tuple[float, ...]
-    kind: str = field(default="unitary_mixture", init=False)
 
     def __post_init__(self) -> None:
         if len(self.unitaries) != len(self.probs) or not self.unitaries:
@@ -121,7 +118,6 @@ class TraceAverage:
 
     n: int
     k: int
-    kind: str = field(default="trace_average", init=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.k < 1:

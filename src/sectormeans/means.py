@@ -41,7 +41,9 @@ negative axis, raises PrincipalBranchError (`_off_cut`).
 The eigen route diagonalizes and applies the principal branch of z^r on the
 spectrum; the mean A #_r B is then the congruence
 A^{1/2} (A^{-1/2} B A^{-1/2})^r A^{1/2}.  So each object has one route per
-engine, and `principal_power` and `geometric_mean` pick it by name.
+engine, and `principal_power` and `geometric_mean` pick it by name.  The
+reflection, negation and inverse identities that relate A #_r B across the
+branches are claims of the `checks` catalog (I01-I03), not routes.
 """
 
 from __future__ import annotations
@@ -81,9 +83,6 @@ __all__ = [
     "principal_power",
     "geometric_mean",
     "geometric_mean_integral",
-    "reflection_identity",
-    "negation_identity",
-    "inverse_mean_identity",
 ]
 
 # Eigenvector basis condition number beyond which the eigen route refuses to
@@ -404,28 +403,3 @@ def geometric_mean_integral(
         return A.copy() if r == 0.0 else B.copy()
     return _resolvent_mean([(A, B)], r, nodes)[0]
 
-
-def reflection_identity(A: np.ndarray, B: np.ndarray, r: float) -> np.ndarray:
-    """B (A #_{2-r} B)^{-1} B, which equals A #_r B for r in (1, 2)."""
-    r = float(r)
-    if mean_order_branch(r) != "r12":
-        raise PreconditionError(f"reflection form needs r in (1, 2), got {r}")
-    B = as_matrix(B)
-    return B @ inverse(geometric_mean(A, B, 2.0 - r)) @ B
-
-
-def negation_identity(A: np.ndarray, B: np.ndarray, r: float) -> np.ndarray:
-    """A (A^{-1} #_{-r} B^{-1}) A, which equals A #_r B for r in (-1, 0)."""
-    r = float(r)
-    if mean_order_branch(r) != "rneg":
-        raise PreconditionError(f"negation form needs r in (-1, 0), got {r}")
-    A = as_matrix(A)
-    return A @ geometric_mean(inverse(A), inverse(as_matrix(B)), -r) @ A
-
-
-def inverse_mean_identity(
-    A: np.ndarray, B: np.ndarray, r: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both sides of (A #_r B)^{-1} = A^{-1} #_r B^{-1}."""
-    A, B = as_matrix(A), as_matrix(B)
-    return inverse(geometric_mean(A, B, r)), geometric_mean(inverse(A), inverse(B), r)

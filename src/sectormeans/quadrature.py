@@ -128,10 +128,11 @@ class QuadratureRule:
     discrete Jacobi coefficient of degree k, in units where degree 0 is the
     integral.  Row 0 is thus the weights, and `weights` reads it.
 
-    Construction checks the order, the shapes, the node count, that the
-    nodes increase strictly within [0, 1], that the weights are positive
-    and that they sum to 1 within MASS_TOL, for every rule, including
-    those `quadrature_rule` builds.
+    Construction checks that the order has a branch measure (it is neither
+    0 nor 1), the shapes, the node count, that the nodes increase strictly
+    within [0, 1], that the weights are positive and that they sum to 1
+    within MASS_TOL, for every rule, including those `quadrature_rule`
+    builds.
     """
 
     r: float
@@ -143,7 +144,7 @@ class QuadratureRule:
         return self.probes[0]
 
     def __post_init__(self) -> None:
-        mean_order_branch(self.r)
+        jacobi_exponents(self.r)
         nodes = self.nodes
         if nodes.ndim != 1 or self.probes.shape != (5, len(nodes)):
             raise PreconditionError("nodes must be a 1-d array and probes 5 rows of its length")
@@ -193,10 +194,8 @@ def quadrature_rule(r: float, n_nodes: int) -> QuadratureRule:
     near the integers.
     """
     r = float(r)
-    if mean_order_branch(r) == "endpoint":
-        raise PreconditionError(f"no quadrature rule at the endpoint r={r}")
-    n_nodes = require_node_count(n_nodes)
     _, b = jacobi_exponents(r)
+    n_nodes = require_node_count(n_nodes)
     k = np.arange(1.0, n_nodes)
     diag = np.empty(n_nodes)
     diag[0], diag[1:] = 1.0, -1.0 / (4.0 * k * k - 1.0)

@@ -55,7 +55,7 @@ def test_catalog_shape():
     for c in cs:
         assert c.anchor.strip()
         assert set(c.r_intervals) <= INTERVALS
-        assert callable(c.rel if c.is_identity else c.terms)
+        assert callable(c.terms)
 
 
 def test_informational_separate():
@@ -247,15 +247,27 @@ def test_identity_refuses_a_flip():
         check.evaluate(inst, EvalContext(nodes=cfg.nodes), True)
 
 
-def test_check_holds_one_claim():
-    """A check holds terms (and maybe reverse) or an identity's rel, never both."""
+def test_check_needs_terms_and_an_identity_cannot_be_reversed():
     base = dict(id="T01", name="t", anchor="t", args=("pd",))
-    terms, rel = checks._inv_real_sandwich, checks._rel_quad_vs_eigen
-    for bad in (dict(), dict(terms=terms, rel=rel), dict(rel=rel, reverse=True)):
-        with pytest.raises(PreconditionError, match="T01"):
-            checks.Check(**base, **bad)
+    terms = checks._inv_real_sandwich
+    with pytest.raises(TypeError, match="terms"):
+        checks.Check(**base)
+    with pytest.raises(PreconditionError, match="T01"):
+        checks.Check(**base, terms=terms, is_identity=True, reverse=True)
     assert not checks.Check(**base, terms=terms, reverse=True).is_identity
-    assert checks.Check(**base, rel=rel).is_identity
+    assert checks.Check(**base, terms=terms, is_identity=True).is_identity
+
+
+@pytest.mark.parametrize("check", catalog() + informational_catalog(), ids=lambda c: c.id)
+def test_every_claim_states_its_sides(check):
+    """Every claim's terms are (lhs, rhs) pairs; an identity's sides are
+    matrices of the instance's shape, never functions of the angle."""
+    inst = sample_instance(check, RunConfig(), 6000, 0)
+    terms = check.terms(inst, EvalContext())
+    assert terms and all(isinstance(t, tuple) and len(t) == 2 for t in terms)
+    if check.is_identity:
+        for side in (s for t in terms for s in t):
+            assert isinstance(side, np.ndarray) and side.shape == inst.A.shape
 
 
 def test_flipped_scalar_claim_negates_both_margins():

@@ -17,12 +17,14 @@ from hypothesis import strategies as st
 
 from sectormeans import (
     EigenbasisConditionError,
+    EvalContext,
     LapackError,
     NodeBudgetError,
     PreconditionError,
     PrincipalBranchError,
     RunConfig,
     arithmetic_mean,
+    check_by_id,
     gen_accretive,
     gen_pd,
     gen_sectorial,
@@ -31,16 +33,14 @@ from sectormeans import (
     geometric_mean_integral,
     harmonic_mean,
     in_sector,
-    inverse_mean_identity,
-    negation_identity,
     principal_power,
     principal_power_eigen,
     principal_power_quad,
-    reflection_identity,
     run_suite,
     sector_angle,
 )
 from sectormeans import means
+from sectormeans.checks import Instance
 from sectormeans.linalg import inverse, is_hermitian, real_part
 from sectormeans.means import BLOCK_ENTRIES, ENGINES, _resolvent_mean, _triangular_inverses
 from sectormeans.quadrature import MAX_NODES, MIN_NODES, node_count, quadrature_rule
@@ -552,29 +552,37 @@ def test_integral_endpoints_pass_through():
 # -------------------------------------------------------------- identities
 
 
+def identity_sides(check_id, A, B, r):
+    """The one term (lhs, rhs) of identity check_id on the pair (A, B) at r."""
+    inst = Instance(dim=len(A), seed=0, trial=0, A=A, B=B, r=r)
+    [term] = check_by_id(check_id).terms(inst, EvalContext())
+    return term
+
+
 def test_reflection_scalar():
-    out = reflection_identity(scalar(4.0), scalar(9.0), 1.5)
+    out, _ = identity_sides("I01", scalar(4.0), scalar(9.0), 1.5)
     assert out[0, 0] == pytest.approx(13.5, abs=1e-12)
     assert out[0, 0] == pytest.approx(4.0 ** (-0.5) * 9.0 ** 1.5, abs=1e-12)
 
 
 def test_negation_scalar():
-    out = negation_identity(scalar(4.0), scalar(9.0), -0.5)
+    out, _ = identity_sides("I02", scalar(4.0), scalar(9.0), -0.5)
     assert out[0, 0] == pytest.approx(4.0 ** 1.5 * 9.0 ** (-0.5), abs=1e-12)
     assert out[0, 0] == pytest.approx(8.0 / 3.0, abs=1e-12)
 
 
 def test_inverse_mean_scalar():
-    lhs, rhs = inverse_mean_identity(scalar(4.0), scalar(9.0), 0.5)
+    lhs, rhs = identity_sides("I03", scalar(4.0), scalar(9.0), 0.5)
     assert lhs[0, 0] == pytest.approx(1.0 / 6.0, abs=1e-14)
     assert rel_err(lhs, rhs) <= 1e-12
 
 
 def test_identities_fixed_point():
     A = gen_accretive(3, 80)
-    assert rel_err(reflection_identity(A, A, 1.3), A) <= 1e-10
-    assert rel_err(negation_identity(A, A, -0.4), A) <= 1e-10
-    lhs, rhs = inverse_mean_identity(np.eye(3), np.eye(3), 0.5)
+    assert rel_err(identity_sides("I01", A, A, 1.3)[0], A) <= 1e-10
+    assert rel_err(identity_sides("I02", A, A, -0.4)[0], A) <= 1e-10
+    eye = np.eye(3, dtype=np.complex128)
+    lhs, rhs = identity_sides("I03", eye, eye, 0.5)
     assert rel_err(lhs, np.eye(3)) <= 1e-12 and rel_err(rhs, np.eye(3)) <= 1e-12
 
 
@@ -583,19 +591,13 @@ def test_identities_fixed_point():
 def test_identities_close_on_random_pairs(seed):
     A, B = gen_accretive(4, seed), gen_accretive(4, seed + 1)
     r12 = 1.0 + 0.05 + (seed % 9) / 10.0
-    assert rel_err(reflection_identity(A, B, r12), geometric_mean(A, B, r12)) <= 1e-8
+    out, _ = identity_sides("I01", A, B, r12)
+    assert rel_err(out, geometric_mean(A, B, r12)) <= 1e-8
     rneg = -(0.05 + (seed % 9) / 10.0)
-    assert rel_err(negation_identity(A, B, rneg), geometric_mean(A, B, rneg)) <= 1e-8
-    lhs, rhs = inverse_mean_identity(A, B, 1.5)
+    out, _ = identity_sides("I02", A, B, rneg)
+    assert rel_err(out, geometric_mean(A, B, rneg)) <= 1e-8
+    lhs, rhs = identity_sides("I03", A, B, 1.5)
     assert rel_err(lhs, rhs) <= 1e-8
-
-
-def test_identity_branch_preconditions():
-    A = gen_accretive(2, 0)
-    with pytest.raises(PreconditionError):
-        reflection_identity(A, A, 0.5)
-    with pytest.raises(PreconditionError):
-        negation_identity(A, A, 0.5)
 
 
 def test_sectorial_pair_mean_off_cone_is_finite():

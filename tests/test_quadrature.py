@@ -127,6 +127,10 @@ def test_rule_validation():
             QuadratureRule(r=0.5, nodes=good.nodes, probes=probes)
     with pytest.raises(PreconditionError):
         quadrature_rule(0.0, 16)
+    # no branch measure exists at the endpoint orders
+    for r in (0.0, 1.0):
+        with pytest.raises(PreconditionError, match="endpoint"):
+            QuadratureRule(r=r, nodes=good.nodes, probes=good.probes)
     with pytest.raises(PreconditionError):
         quadrature_rule(0.5, 2)
     with pytest.raises(PreconditionError, match=str(MAX_NODES)):
