@@ -36,9 +36,9 @@ from .linalg import (
 )
 from .maps import PositiveUnitalMap, apply_map
 from .means import (
+    _congruence,
     _resolvent_mean,
     arithmetic_mean,
-    geometric_mean,
     harmonic_mean,
     principal_power_eigen,
 )
@@ -159,17 +159,16 @@ class Check:
             return TrialEval(-rel, 1.0, -rel)
         if flip != self.reverse:
             terms = [(rhs, lhs) for lhs, rhs in terms]
-        sides = [(_at(lhs, inst.alpha), _at(rhs, inst.alpha)) for lhs, rhs in terms]
+        sides = _sides_at(terms, inst.alpha)
         margins = [_margin(lhs, rhs) for lhs, rhs in sides]
         margin = min(margins)
         strict = margin
         if inst.alpha_realized != inst.alpha:
             strict = min(
-                _margin(_at(lhs, inst.alpha_realized), _at(rhs, inst.alpha_realized))
-                if callable(lhs) or callable(rhs) else m
-                for (lhs, rhs), m in zip(terms, margins)
+                _margin(*at) if callable(lhs) or callable(rhs) else m
+                for (lhs, rhs), at, m in zip(terms, _sides_at(terms, inst.alpha_realized), margins)
             )
-        return TrialEval(margin, max(_scale(lhs, rhs) for lhs, rhs in sides), strict)
+        return TrialEval(margin, _scale(sides), strict)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +181,8 @@ def _rel(X: np.ndarray, Y: np.ndarray) -> float:
 
 
 # The sampler's certificates vouch for the instances, so the checks run the
-# quadrature kernel on them without the public routes' validation.  A pair
+# kernels of `geometric_mean` on them without its validation: the quadrature
+# kernel `_resolvent_mean` and the congruence `_congruence`.  A pair
 # (None, A) is the power A^r; a claim that compares two means at one order
 # passes both pairs in one call, so they share one rule.
 def _mean(A: np.ndarray, B: np.ndarray, r: float, ctx: EvalContext) -> np.ndarray:
@@ -207,8 +207,11 @@ def _branch_cos_exponent(r: float) -> float:
 # claims: each term (lhs, rhs) states lhs <= rhs
 
 
-def _at(side: Side, alpha: float) -> Value:
-    return side(alpha) if callable(side) else side
+def _sides_at(terms: list[Term], alpha: float) -> list[tuple[Value, Value]]:
+    """Every term's sides at alpha; a side that terms share is evaluated once."""
+    distinct = {id(side): side for term in terms for side in term}
+    values = {key: side(alpha) if callable(side) else side for key, side in distinct.items()}
+    return [(values[id(lhs)], values[id(rhs)]) for lhs, rhs in terms]
 
 
 # A term with a matrix side is a Loewner term, where 0.0 is the zero matrix.
@@ -218,8 +221,10 @@ def _margin(lhs: Value, rhs: Value) -> float:
     return float(rhs - lhs)
 
 
-def _scale(lhs: Value, rhs: Value) -> float:
-    return max(op_norm(s) if isinstance(s, np.ndarray) else abs(s) for s in (lhs, rhs))
+def _scale(sides: list[tuple[Value, Value]]) -> float:
+    """The largest size of a side, each distinct side measured once."""
+    distinct = {id(s): s for side in sides for s in side}
+    return max(op_norm(s) if isinstance(s, np.ndarray) else abs(s) for s in distinct.values())
 
 
 def _inv_real_sandwich(inst: Instance, ctx: EvalContext) -> list[Term]:
@@ -357,23 +362,23 @@ def _sector_closure(inst: Instance, ctx: EvalContext) -> list[Term]:
 def _reflection(inst: Instance, ctx: EvalContext) -> list[Term]:
     """A #_r B = B (A #_{2-r} B)^{-1} B for r in (1, 2)."""
     A, B, r = inst.A, inst.B, inst.r
-    return [(B @ inverse(geometric_mean(A, B, 2.0 - r)) @ B, geometric_mean(A, B, r))]
+    return [(B @ inverse(_congruence(A, B, 2.0 - r)) @ B, _congruence(A, B, r))]
 
 
 def _negation(inst: Instance, ctx: EvalContext) -> list[Term]:
     """A #_r B = A (A^{-1} #_{-r} B^{-1}) A for r in (-1, 0)."""
     A, B, r = inst.A, inst.B, inst.r
-    return [(A @ geometric_mean(inverse(A), inverse(B), -r) @ A, geometric_mean(A, B, r))]
+    return [(A @ _congruence(inverse(A), inverse(B), -r) @ A, _congruence(A, B, r))]
 
 
 def _inverse_mean(inst: Instance, ctx: EvalContext) -> list[Term]:
     """(A #_r B)^{-1} = A^{-1} #_r B^{-1}."""
     A, B, r = inst.A, inst.B, inst.r
-    return [(inverse(geometric_mean(A, B, r)), geometric_mean(inverse(A), inverse(B), r))]
+    return [(inverse(_congruence(A, B, r)), _congruence(inverse(A), inverse(B), r))]
 
 
 def _integral_vs_congruence(inst: Instance, ctx: EvalContext) -> list[Term]:
-    return [(_mean(inst.A, inst.B, inst.r, ctx), geometric_mean(inst.A, inst.B, inst.r))]
+    return [(_mean(inst.A, inst.B, inst.r, ctx), _congruence(inst.A, inst.B, inst.r))]
 
 
 def _quad_vs_eigen(inst: Instance, ctx: EvalContext) -> list[Term]:

@@ -102,11 +102,9 @@ def _checked(obj) -> np.ndarray:
 def loads_matrix(text: str) -> np.ndarray:
     import orjson
 
-    raw = text.encode("utf-8", "surrogatepass")
-    codes = np.frombuffer(raw, dtype=np.uint8)
-    if np.count_nonzero(codes == ord("[")) + np.count_nonzero(codes == ord("{")) <= _ORJSON_MAX_BRACKETS:
+    if text.count("[") + text.count("{") <= _ORJSON_MAX_BRACKETS:
         try:
-            return _checked(orjson.loads(raw))
+            return _checked(orjson.loads(text.encode("utf-8", "surrogatepass")))
         except (orjson.JSONDecodeError, MatrixFormatError, RecursionError):
             pass
     # orjson refuses some text that json reads (NaN, Infinity, numbers past

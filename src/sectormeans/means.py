@@ -41,7 +41,10 @@ negative axis, raises PrincipalBranchError (`_off_cut`).
 The eigen route diagonalizes and applies the principal branch of z^r on the
 spectrum; the mean A #_r B is then the congruence
 A^{1/2} (A^{-1/2} B A^{-1/2})^r A^{1/2}.  So each object has one route per
-engine, and `principal_power` and `geometric_mean` pick it by name.  The
+engine, and `principal_power` and `geometric_mean` pick it by name; the
+latter validates once and hands trusted arrays to the kernel `_resolvent_mean`
+or `_congruence`, as the `checks` catalog does with the sampler's instances.
+Every route ends in one range check, `_finite`.  The
 reflection, negation and inverse identities that relate A #_r B across the
 branches are claims of the `checks` catalog (I01-I03), not routes.
 """
@@ -116,17 +119,26 @@ def _off_cut(lam: np.ndarray) -> bool:
 
 
 def _finite(M: np.ndarray) -> np.ndarray:
-    """M, or a PreconditionError where it overflowed."""
+    """M, refused where it overflowed, or underflowed to zero: A^r and A #_r B
+    of admissible inputs are invertible."""
     if not np.isfinite(M).all():
         raise PreconditionError("the result overflows the double range")
+    if not M.any():
+        raise PreconditionError("the result underflows the double range")
     return M
+
+
+def _pair(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A and B as matrices, refused unless they have one shape."""
+    A, B = as_matrix(A), as_matrix(B)
+    if A.shape != B.shape:
+        raise PreconditionError(f"dimension mismatch: {A.shape} vs {B.shape}")
+    return A, B
 
 
 def harmonic_mean(A: np.ndarray, B: np.ndarray, s: float) -> np.ndarray:
     """Weighted harmonic mean ((1-s) A^{-1} + s B^{-1})^{-1} for s in [0, 1]."""
-    A, B = as_matrix(A), as_matrix(B)
-    if A.shape != B.shape:
-        raise PreconditionError(f"dimension mismatch: {A.shape} vs {B.shape}")
+    A, B = _pair(A, B)
     s = float(s)
     if not 0.0 <= s <= 1.0:
         raise PreconditionError(f"harmonic weight must lie in [0, 1], got {s}")
@@ -139,9 +151,7 @@ def harmonic_mean(A: np.ndarray, B: np.ndarray, s: float) -> np.ndarray:
 
 def arithmetic_mean(A: np.ndarray, B: np.ndarray, r: float) -> np.ndarray:
     """Weighted arithmetic combination (1-r) A + r B (any real r)."""
-    A, B = as_matrix(A), as_matrix(B)
-    if A.shape != B.shape:
-        raise PreconditionError(f"dimension mismatch: {A.shape} vs {B.shape}")
+    A, B = _pair(A, B)
     return (1.0 - float(r)) * A + float(r) * B
 
 
@@ -151,8 +161,8 @@ def principal_power_eigen(A: np.ndarray, r: float) -> np.ndarray:
     Rejects spectra touching (-inf, 0] (`eig`'s within 1e-13 max|lambda|, as
     its eigenvalues err by about eps ||A|| cond(V)), eigenvector bases with
     condition number above EIG_COND_LIMIT (the result could not be certified
-    to the tolerances the rest of the package promises) and results past the
-    double range.
+    to the tolerances the rest of the package promises) and results that
+    overflow or underflow the double range.  It accepts any real r.
     """
     A = as_matrix(A)
     r = float(r)
@@ -190,24 +200,17 @@ def _scaled(
 
     2^(shift r) is split into 2^n 2^f, with n an integer and f in [0, 1), and
     2^n is applied to the product last, so c^r may lie past the double range
-    where c^r X Z S Z* does not.  A result that overflows, or that underflows
-    to zero from a nonzero product, raises PreconditionError.
+    where c^r X Z S Z* does not.  `_finite` refuses a result that does.
     """
     a, b = r.as_integer_ratio()
     n, rem = divmod(shift * a, b)
-    try:
-        with np.errstate(over="raise"):
-            M = Z @ S @ Z.conj().T
-            if X is not None:
-                M = X @ M
-            M *= cb**r * 2.0 ** (rem / b)
-            # on the real and imaginary parts, as ldexp takes no complex
-            out = np.ldexp(M.view(np.float64), n).view(np.complex128)
-    except ArithmeticError:
-        raise PreconditionError("the result overflows the double range") from None
-    if not out.any() and M.any():
-        raise PreconditionError("the result underflows the double range")
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = Z @ S @ Z.conj().T
+        if X is not None:
+            M = X @ M
+        M *= np.float64(cb) ** r * 2.0 ** (rem / b)
+        # on the real and imaginary parts, as ldexp takes no complex
+        return _finite(np.ldexp(M.view(np.float64), n).view(np.complex128))
 
 
 def _unordered(z):
@@ -336,44 +339,16 @@ def principal_power(
     return principal_power_quad(A, r, nodes)
 
 
-def _require_accretive_pair(A: np.ndarray, B: np.ndarray) -> None:
-    if A.shape != B.shape:
-        raise PreconditionError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    for M, name in ((A, "first argument"), (B, "second argument")):
-        holds, margin = is_accretive(M)
-        if not holds:
-            raise PreconditionError(
-                f"{name} is not accretive (min Re-part eigenvalue {margin:.3e})"
-            )
+def _congruence(A: np.ndarray, B: np.ndarray, r: float) -> np.ndarray:
+    """The eigen kernel: A #_r B as A^{1/2} (A^{-1/2} B A^{-1/2})^r A^{1/2}, on
+    trusted arrays, with both powers from `principal_power_eigen`.
 
-
-def geometric_mean(
-    A: np.ndarray,
-    B: np.ndarray,
-    r: float,
-    engine: str = "eigen",
-    nodes: int = MAX_NODES,
-) -> np.ndarray:
-    """Weighted geometric mean A #_r B, by the route `engine` names.
-
-    "quad" is `geometric_mean_integral` with at most `nodes` nodes.  "eigen"
-    is the congruence A^{1/2} (A^{-1/2} B A^{-1/2})^r A^{1/2} with both
-    powers from `principal_power_eigen`.  The inner matrix may leave the
-    accretive cone, but its spectrum is spec(A^{-1} B), whose every
-    eigenvalue <Bx, x> / <Ax, x> is a ratio of two numbers in the open right
-    half-plane, so it avoids the branch cut; the inner power raises
+    A and B are accretive and r lies in the mean's domain.  The inner matrix
+    may leave the accretive cone, but its spectrum is spec(A^{-1} B), whose
+    every eigenvalue <Bx, x> / <Ax, x> is a ratio of two numbers in the open
+    right half-plane, so it avoids the branch cut; the inner power raises
     PrincipalBranchError only where rounding puts it on the cut.
     """
-    if engine not in ENGINES:
-        raise PreconditionError(f"unknown engine {engine!r}, expected one of {ENGINES}")
-    if engine == "quad":
-        return geometric_mean_integral(A, B, r, nodes)
-    A, B = as_matrix(A), as_matrix(B)
-    r = float(r)
-    branch = mean_order_branch(r)
-    _require_accretive_pair(A, B)
-    if branch == "endpoint":
-        return A.copy() if r == 0.0 else B.copy()
     root = principal_power_eigen(A, 0.5)
     root_inv = inverse(root)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -384,22 +359,40 @@ def geometric_mean(
         return _finite(root @ principal_power_eigen(inner, r) @ root)
 
 
+def geometric_mean(
+    A: np.ndarray, B: np.ndarray, r: float, engine: str = "eigen", nodes: int = MAX_NODES
+) -> np.ndarray:
+    """Weighted geometric mean A #_r B, by the route `engine` names.
+
+    The one validated entry for the mean.  It refuses, in this order, an
+    unknown engine, a pair that is not two matrices of one shape, an argument
+    that is not accretive and an order outside (-1, 2); r = 0 and r = 1 pass
+    A and B through.  "quad" is then the quadrature kernel on (A, B), with at
+    most `nodes` nodes, and "eigen" the congruence (`_congruence`).
+    """
+    if engine not in ENGINES:
+        raise PreconditionError(f"unknown engine {engine!r}, expected one of {ENGINES}")
+    A, B = _pair(A, B)
+    for M, name in ((A, "first argument"), (B, "second argument")):
+        holds, least = is_accretive(M)
+        if not holds:
+            raise PreconditionError(f"{name} is not accretive (min Re-part eigenvalue {least:.3e})")
+    r = float(r)
+    if mean_order_branch(r) == "endpoint":
+        return A.copy() if r == 0.0 else B.copy()
+    if engine == "quad":
+        return _resolvent_mean([(A, B)], r, nodes)[0]
+    return _congruence(A, B, r)
+
+
 def geometric_mean_integral(
     A: np.ndarray, B: np.ndarray, r: float, nodes: int = MAX_NODES
 ) -> np.ndarray:
-    """A #_r B through its direct integral form, the quadrature kernel on (A, B).
+    """A #_r B through its direct integral form: `geometric_mean` on engine "quad".
 
     The integrand is the inverse of the pencil (1-s) B/c + s A, a weighted
     arithmetic mean of A and the centred B/c, taken in the Schur basis of
     A^{-1} B/c; no congruence and no fractional power is involved, which
-    makes this an independent cross-check of the eigen route of
-    `geometric_mean`.  r = 0 and r = 1 pass A and B through,
-    as that route does.
+    makes this an independent cross-check of the eigen route.
     """
-    A, B = as_matrix(A), as_matrix(B)
-    _require_accretive_pair(A, B)
-    r = float(r)
-    if mean_order_branch(r) == "endpoint":
-        return A.copy() if r == 0.0 else B.copy()
-    return _resolvent_mean([(A, B)], r, nodes)[0]
-
+    return geometric_mean(A, B, r, "quad", nodes)

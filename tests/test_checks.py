@@ -7,6 +7,7 @@ module.
 
 import dataclasses
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -22,7 +23,10 @@ from sectormeans import (
     catalog,
     check_by_id,
     derive_seed,
+    geometric_mean,
     informational_catalog,
+    numerical_radius,
+    parse_matrix,
     replay_trial,
     run_check,
     run_suite,
@@ -30,11 +34,14 @@ from sectormeans import (
     suite_ids,
 )
 from sectormeans import checks, linalg, means, runner
-from sectormeans.checks import SUITE_NAMES, _branch_cos_exponent
+from sectormeans.checks import SUITE_NAMES, Instance, _branch_cos_exponent
+from sectormeans.linalg import inverse
+from sectormeans.means import ENGINES
 from sectormeans.quadrature import MAX_NODES, MIN_NODES
 from sectormeans.runner import _sample_r
 
 INTERVALS = {(0.0, 1.0), (1.0, 2.0), (-1.0, 0.0)}
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def small_config(**kw):
@@ -505,3 +512,66 @@ def test_paired_claims_build_one_rule_per_trial(cid, monkeypatch):
         means._cached_rule.cache_clear()
     assert res.trials == 20 and not res.errors
     assert per_trial == [1] * 20
+
+
+@pytest.mark.parametrize("cid, norms", [("C01", 3), ("C11", 4), ("C18", 4), ("C24", 3)])
+def test_each_distinct_side_is_measured_once(cid, norms, monkeypatch):
+    """A side that terms share is evaluated once per angle and takes one norm:
+    C01's inverse of Re A, C11's and C18's cone, C24's mean."""
+    check, cfg = check_by_id(cid), RunConfig(seed=42)
+    calls = []
+    op_norm = linalg.op_norm
+
+    def counted(A):
+        calls.append(1)
+        return op_norm(A)
+
+    monkeypatch.setattr(checks, "op_norm", counted)
+    for trial in range(10):
+        inst = sample_instance(check, cfg, derive_seed(cfg.seed, cid, trial, 0), trial)
+        before = len(calls)
+        check.evaluate(inst, EvalContext(), False)
+        assert len(calls) - before == norms
+
+
+@pytest.mark.parametrize("cid", ["I01", "I02", "I03", "I04"])
+def test_identities_trust_the_sampler(cid, monkeypatch):
+    """The branch identities run the mean's kernels on certified instances,
+    so their sides make no accretivity test."""
+    tests = []
+    is_accretive = means.is_accretive
+
+    def counted(A):
+        tests.append(1)
+        return is_accretive(A)
+
+    check = check_by_id(cid)
+
+    def terms(inst, ctx):
+        with monkeypatch.context() as m:
+            m.setattr(means, "is_accretive", counted)
+            return check.terms(inst, ctx)
+
+    res = run_check(dataclasses.replace(check, terms=terms), RunConfig(seed=7, trials=20))
+    assert res.trials == 20 and not res.errors
+    assert tests == []
+
+
+def test_x23_literal_reading_fails_where_c23_holds():
+    """Trial 147 of `verify all --seed 42 --trials 500`: a pd A and a B in
+    S_0.4 at r = -0.73 on which the statement-literal order -r breaks the
+    radius bound by far more than rounding, while the bound holds at r."""
+    seed, trial, r, alpha = 16098409130807609684, 147, -0.7307538719573762, 0.4
+    A, B = parse_matrix(DATA / "x23_trial147_a.json"), parse_matrix(DATA / "x23_trial147_b.json")
+    assert derive_seed(42, "X23", trial, 0) == seed
+    inst = sample_instance(check_by_id("X23"), RunConfig(seed=42, trials=500), seed, trial)
+    assert (inst.r, inst.alpha) == (r, alpha)
+    assert np.array_equal(inst.A, A) and np.array_equal(inst.B, B)
+    w = numerical_radius
+    bound = math.cos(alpha) ** 6 * w(A) ** (-(r + 1)) * w(B) ** r / w(inverse(A) @ inverse(A))
+    for engine in ENGINES:
+        assert bound > 1.4 * w(geometric_mean(A, B, -r, engine=engine))
+        assert w(geometric_mean(A, B, r, engine=engine)) >= bound
+    inst = Instance(dim=2, seed=seed, trial=trial, A=A, B=B, r=r, alpha=alpha, alpha_realized=alpha)
+    assert check_by_id("X23").evaluate(inst, EvalContext(), False).margin < -0.59
+    assert check_by_id("C23").evaluate(inst, EvalContext(), False).margin > 0

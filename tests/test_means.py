@@ -452,12 +452,38 @@ def test_quad_result_past_the_double_range_is_refused():
 
 @pytest.mark.parametrize("engine", ["quad", "eigen"])
 def test_power_past_the_double_range_is_refused_by_both_engines(engine):
-    # diag takes the eigen engine's eigh path, the triangle its eig path
+    # a diagonal takes the eigen engine's eigh path, a triangle its eig path
+    cases = [
+        (np.diag([1e300, 1e295]), 1.5, "overflows"),
+        (np.array([[1e300, 1e299], [0.0, 1e295]]), 1.5, "overflows"),
+        (1e-200 * np.eye(2), 1.9, "underflows"),
+        (np.array([[1e-300, 1e-301], [0.0, 2e-300]]), 1.5, "underflows"),
+    ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for A in (np.diag([1e300, 1e295]), np.array([[1e300, 1e299], [0.0, 1e295]])):
-            with pytest.raises(PreconditionError, match="overflows the double range"):
-                principal_power(A, 1.5, engine=engine)
+        for A, r, target in cases:
+            with pytest.raises(PreconditionError, match=f"{target} the double range"):
+                principal_power(A, r, engine=engine)
+
+
+@pytest.mark.parametrize("engine", ["quad", "eigen"])
+def test_mean_past_the_double_range_is_refused_by_both_engines(engine):
+    # 1e-200 #_{3/2} 1e-300 = 1e-350 underflows to zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="underflows the double range"):
+            geometric_mean(1e-200 * np.eye(2), 1e-300 * np.eye(2), 1.5, engine=engine)
+
+
+def test_mean_preconditions_have_one_order():
+    # a pair that fails accretivity and the order is refused for accretivity
+    # first, with one message from both engines
+    messages = set()
+    for engine in ENGINES:
+        with pytest.raises(PreconditionError) as info:
+            geometric_mean(-np.eye(2), np.eye(2), 2.5, engine=engine)
+        messages.add(str(info.value))
+    assert messages == {"first argument is not accretive (min Re-part eigenvalue -1.000e+00)"}
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e-160])
