@@ -15,9 +15,9 @@ through it.
 LAPACK-backed wrappers by their NumPy names (`eig`, `eigh`, `svd`, `solve`,
 ...) and the routines NumPy lacks from `scipy.linalg.lapack`: the
 Gauss-Jacobi rules (`dstevd`), the kernel's Schur form (`zgees`) and the
-numerical radius (`zggev`), each at SciPy's default workspace.  SciPy is
-imported at the first SciPy routine, so `import sectormeans` does not load
-it.  NumPy's LinAlgError and a nonzero SciPy `info` both raise LapackError
+numerical radius's pencil below its conditioning floor (`zggev`), each at
+SciPy's default workspace.  SciPy is imported at the first SciPy routine,
+so `import sectormeans` does not load it.  NumPy's LinAlgError and a nonzero SciPy `info` both raise LapackError
 naming the routine.
 """
 

@@ -8,10 +8,17 @@ reader turns it back into that double).
 
 orjson reads and writes the files.  It is imported on the first call, not
 with this module, so `import sectormeans` and `verify` do not load it.
+
+orjson reads a text first.  Where byte counts show that the only strings
+are the two keys and that no true, false or null occurs, the text holds
+numbers only, and the 2 n^2 scalars orjson gives need no type check
+(`_orjson_read`).  json reads every text that orjson or the schema refuses,
+and gives it its result or message.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -54,25 +61,32 @@ def _entry(value, i: int, j: int) -> complex:
     return complex(re, im)
 
 
-def _pairs(data: list, n: int) -> np.ndarray | None:
+def _scalars(data: list):
+    return itertools.chain.from_iterable(itertools.chain.from_iterable(data))
+
+
+def _pairs(data: list, n: int, numbers_only: bool) -> np.ndarray | None:
     """data as an n x n complex128 array when every entry is a finite [re, im]
-    pair of numbers, in one array conversion; None otherwise."""
+    pair of numbers, read flat once the lengths of the rows and entries show
+    the shape; None otherwise.  numbers_only says that the text held no
+    scalar but numbers, which spares the walk over the scalars' types."""
     try:
-        pairs = np.array(data, dtype=np.float64)
+        if set(map(len, data)) != {n} or set(map(len, itertools.chain.from_iterable(data))) != {2}:
+            return None
+        pairs = np.fromiter(_scalars(data), dtype=np.float64, count=2 * n * n)
     except (ValueError, TypeError, OverflowError):
         return None
-    if pairs.shape != (n, n, 2) or not np.isfinite(pairs).all():
+    if not np.isfinite(pairs).all():
         return None
     # the conversion also takes bools and numeric strings, which the schema refuses
-    scalars = itertools.chain.from_iterable(itertools.chain.from_iterable(data))
-    if not set(map(type, scalars)) <= {int, float}:
+    if not numbers_only and not set(map(type, _scalars(data))) <= {int, float}:
         return None
     return pairs.view(np.complex128).reshape(n, n)
 
 
-def _checked(obj) -> np.ndarray:
+def _checked(obj, numbers_only: bool = False) -> np.ndarray:
     """The matrix a parsed file holds, or a MatrixFormatError naming the first
-    place where it leaves the schema."""
+    place where it leaves the schema; numbers_only as for `_pairs`."""
     if not isinstance(obj, dict):
         raise MatrixFormatError(f"top level must be an object, got {type(obj).__name__}")
     missing = {"n", "data"} - set(obj)
@@ -85,7 +99,7 @@ def _checked(obj) -> np.ndarray:
     if not isinstance(data, list) or len(data) != n:
         got = len(data) if isinstance(data, list) else type(data).__name__
         raise MatrixFormatError(f"field 'data' must be a list of {n} rows, got {got}")
-    pairs = _pairs(data, n)
+    pairs = _pairs(data, n, numbers_only)
     if pairs is not None:
         return pairs
     # a schema error: walk the entries in order to report the first one
@@ -99,14 +113,28 @@ def _checked(obj) -> np.ndarray:
     return out
 
 
-def loads_matrix(text: str) -> np.ndarray:
+def _orjson_read(raw: bytes) -> np.ndarray | None:
+    """The matrix in the UTF-8 text raw as orjson reads it, or None where
+    orjson or the schema refuses it.
+
+    A text with four quotes holds at most two strings, which `_checked`
+    requires to be the keys "n" and "data", and one with no byte u or l
+    holds no true, false or null: its scalars are numbers, and their types
+    need no walk.
+    """
     import orjson
 
-    if text.count("[") + text.count("{") <= _ORJSON_MAX_BRACKETS:
-        try:
-            return _checked(orjson.loads(text.encode("utf-8", "surrogatepass")))
-        except (orjson.JSONDecodeError, MatrixFormatError, RecursionError):
-            pass
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    if np.count_nonzero((codes == ord("[")) | (codes == ord("{"))) > _ORJSON_MAX_BRACKETS:
+        return None
+    numbers_only = np.count_nonzero(codes == ord('"')) == 4 and b"u" not in raw and b"l" not in raw
+    try:
+        return _checked(orjson.loads(raw), numbers_only)
+    except (orjson.JSONDecodeError, MatrixFormatError, RecursionError):
+        return None
+
+
+def _json_read(text: str) -> np.ndarray:
     # orjson refuses some text that json reads (NaN, Infinity, numbers past
     # the double range, lone surrogates, a BOM) and reads an integer of 2^64
     # or more as a float, so json makes every refusal again, with its message
@@ -118,6 +146,11 @@ def loads_matrix(text: str) -> np.ndarray:
         # json reads nested arrays by recursion, and the message of a bad
         # entry is its repr, both up to Python's recursion limit
         raise MatrixFormatError("invalid json: nested too deeply to read") from None
+
+
+def loads_matrix(text: str) -> np.ndarray:
+    matrix = _orjson_read(text.encode("utf-8", "surrogatepass"))
+    return matrix if matrix is not None else _json_read(text)
 
 
 def dumps_matrix(A: np.ndarray) -> str:
@@ -132,15 +165,23 @@ def dumps_matrix(A: np.ndarray) -> str:
 
 
 def parse_matrix(path: Union[str, os.PathLike]) -> np.ndarray:
+    """The matrix in the file at path, read once as bytes: orjson reads them
+    as they are, and a text it refuses is decoded as a text-mode read
+    decodes it, so that json's messages keep their line numbers."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise MatrixFormatError(f"cannot read {path}: {exc.strerror or exc}") from None
+    matrix = _orjson_read(raw)
+    if matrix is not None:
+        return matrix
+    try:
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
     except UnicodeDecodeError as exc:
         raise MatrixFormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     try:
-        return loads_matrix(text)
+        return _json_read(text)
     except MatrixFormatError as exc:
         raise MatrixFormatError(f"{path}: {exc}") from None
 

@@ -170,6 +170,12 @@ def principal_power_eigen(A: np.ndarray, r: float) -> np.ndarray:
         return np.eye(len(A), dtype=np.complex128)
     if r == 1.0:
         return A.copy()
+    return _finite(_eigen_power(A, r))
+
+
+def _eigen_power(A: np.ndarray, r: float) -> np.ndarray:
+    """`principal_power_eigen` on a trusted A at r off {0, 1}, with no range
+    check: past the double range the result holds inf or nan, or is all zero."""
     if is_hermitian(A):
         w, V = lapack("eigh")(A)
         if w[0] <= 0.0:
@@ -177,7 +183,7 @@ def principal_power_eigen(A: np.ndarray, r: float) -> np.ndarray:
                 f"Hermitian input has eigenvalue {w[0]:.3e} on (-inf, 0]"
             )
         with np.errstate(over="ignore", invalid="ignore"):
-            return _finite((V * w**r) @ V.conj().T)
+            return (V * w**r) @ V.conj().T
     lam, V = lapack("eig")(A)
     tol = 1e-13 * np.abs(lam).max()
     if ((lam.real <= tol) & (np.abs(lam.imag) <= tol)).any():
@@ -189,28 +195,23 @@ def principal_power_eigen(A: np.ndarray, r: float) -> np.ndarray:
         )
     with np.errstate(over="ignore", invalid="ignore"):
         powered = np.exp(r * np.log(lam))
-        return _finite(lapack("solve")(V.T, ((V * powered).T)).T)
+        return lapack("solve")(V.T, ((V * powered).T)).T
 
 
-def _scaled(
-    X: np.ndarray | None, Z: np.ndarray, S: np.ndarray, cb: float, shift: int, r: float
-) -> np.ndarray:
-    """c^r X Z S Z* for the centring scale c = cb * 2^shift, which may lie
-    past the double range, as may c^r; X None stands for the identity.
+def _scaled(M: np.ndarray, cb: float, shift: int, r: float) -> np.ndarray:
+    """c^r M for the scale c = cb * 2^shift, which may lie past the double
+    range, as may c^r; M is overwritten.  Callers hold
+    np.errstate(over="ignore", invalid="ignore"), under which they formed M.
 
     2^(shift r) is split into 2^n 2^f, with n an integer and f in [0, 1), and
     2^n is applied to the product last, so c^r may lie past the double range
-    where c^r X Z S Z* does not.  `_finite` refuses a result that does.
+    where c^r M does not.  `_finite` refuses a result that does.
     """
     a, b = r.as_integer_ratio()
     n, rem = divmod(shift * a, b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        M = Z @ S @ Z.conj().T
-        if X is not None:
-            M = X @ M
-        M *= np.float64(cb) ** r * 2.0 ** (rem / b)
-        # on the real and imaginary parts, as ldexp takes no complex
-        return _finite(np.ldexp(M.view(np.float64), n).view(np.complex128))
+    M *= np.float64(cb) ** r * 2.0 ** (rem / b)
+    # on the real and imaginary parts, as ldexp takes no complex
+    return _finite(np.ldexp(M.view(np.float64), n).view(np.complex128))
 
 
 def _unordered(z):
@@ -297,7 +298,9 @@ def _resolvent_mean(
             sizes = np.linalg.norm(moments, axis=1)
             if not truncation_estimate(n_nodes, sizes[1:] / sizes[0]) <= TRUNCATION_TOL:
                 break
-            means.append(_scaled(X, Z, moments[0].reshape(Tc.shape), cb, shift, r))
+            with np.errstate(over="ignore", invalid="ignore"):
+                M = Z @ moments[0].reshape(Tc.shape) @ Z.conj().T
+                means.append(_scaled(M if X is None else X @ M, cb, shift, r))
         else:
             return means
         if 2 * n_nodes > nodes:
@@ -341,22 +344,35 @@ def principal_power(
 
 def _congruence(A: np.ndarray, B: np.ndarray, r: float) -> np.ndarray:
     """The eigen kernel: A #_r B as A^{1/2} (A^{-1/2} B A^{-1/2})^r A^{1/2}, on
-    trusted arrays, with both powers from `principal_power_eigen`.
+    trusted arrays, with both powers by the eigen route (`_eigen_power`).
 
-    A and B are accretive and r lies in the mean's domain.  The inner matrix
+    A and B are accretive and r lies in the mean's domain, off its endpoints
+    0 and 1, which `geometric_mean` passes through.  The inner matrix
     may leave the accretive cone, but its spectrum is spec(A^{-1} B), whose
     every eigenvalue <Bx, x> / <Ax, x> is a ratio of two numbers in the open
     right half-plane, so it avoids the branch cut; the inner power raises
     PrincipalBranchError only where rounding puts it on the cut.
+
+    Where the inner power leaves the double range, which the mean may not
+    (the inner matrix of 1e300 I and 1e100 I is 1e-200 I), it is taken of
+    the inner matrix scaled by an even power of two, 2^-shift, and `_scaled`
+    applies 2^(shift r) to the product last.  Elsewhere no scale enters.
     """
     root = principal_power_eigen(A, 0.5)
     root_inv = inverse(root)
     with np.errstate(over="ignore", invalid="ignore"):
         inner = root_inv @ B @ root_inv
+        size = np.abs(inner).max()
         # past the double range, or with no normal entry left to carry digits
-        if not np.finfo(float).tiny <= np.abs(inner).max() < np.inf:
+        if not np.finfo(float).tiny <= size < np.inf:
             raise PreconditionError("the congruence A^{-1/2} B A^{-1/2} leaves the double range")
-        return _finite(root @ principal_power_eigen(inner, r) @ root)
+        powered = _eigen_power(inner, r)
+        if np.isfinite(powered).all() and powered.any():
+            return _finite(root @ powered @ root)
+        # even, as LAPACK's eigenvalues scale exactly under an even power of two
+        shift = 2 * (math.frexp(size)[1] // 2)
+        powered = _finite(_eigen_power(inner * math.ldexp(1.0, -shift), r))
+        return _scaled(root @ powered @ root, 1.0, shift, r)
 
 
 def geometric_mean(

@@ -39,26 +39,44 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def below_radius_floor(n=4):
+    """A non-Hermitian n x n matrix with sigma_min / sigma_max below 1e-10,
+    below norms.LEVEL_SET_RCOND, so its numerical radius runs LAPACK zggev."""
+    A = np.triu(np.ones((n, n), dtype=np.complex128))
+    A[-1, -1] = 1e-10
+    return A
+
+
 @pytest.fixture
 def fail_lapack(monkeypatch):
     """fail_lapack(name) makes the routine `name` of `linalg.lapack` fail:
     NumPy's wrapper of that name raises LinAlgError("did not converge"), and
-    SciPy's LAPACK routine returns its outputs with info = 1.  The door's
-    cache is cleared on both sides, so the package calls the failing routine
-    and then the real one."""
+    SciPy's LAPACK routine returns its outputs with info = 1.  With `when`,
+    a predicate on the call's arguments, only the calls it accepts fail.
+    The door's cache is cleared on both sides, so the package calls the
+    failing routine and then the real one."""
     from sectormeans.linalg import lapack
 
-    def raise_linalg_error(*args, **kwargs):
-        raise np.linalg.LinAlgError("did not converge")
-
-    def fail(name):
+    def fail(name, when=lambda *args, **kwargs: True):
         if hasattr(np.linalg, name):
-            monkeypatch.setattr(np.linalg, name, raise_linalg_error)
+            routine = getattr(np.linalg, name)
+
+            def failing(*args, **kwargs):
+                if when(*args, **kwargs):
+                    raise np.linalg.LinAlgError("did not converge")
+                return routine(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, failing)
         else:
             from scipy.linalg import lapack as routines
 
             routine = getattr(routines, name)
-            monkeypatch.setattr(routines, name, lambda *a, **k: (*routine(*a, **k)[:-1], 1))
+
+            def failing(*args, **kwargs):
+                *out, info = routine(*args, **kwargs)
+                return (*out, 1 if when(*args, **kwargs) else info)
+
+            monkeypatch.setattr(routines, name, failing)
         lapack.cache_clear()
 
     yield fail

@@ -170,6 +170,15 @@ def test_run_check_deterministic():
     assert r1.trials == 16 and r1.violations == 0
 
 
+def test_a_margin_of_twice_the_threshold_is_violated():
+    # a trial is violated below -tol * scale, at every scale: at twice the
+    # threshold it is, at half of it it is not
+    tol = RunConfig().tol
+    for scale in (1.0, 1e-6, 1e6):
+        assert runner._violated(checks.TrialEval(-2.0 * tol * scale, scale, 0.0), tol)
+        assert not runner._violated(checks.TrialEval(-0.5 * tol * scale, scale, 0.0), tol)
+
+
 def test_flip_mutation_detected():
     cfg = small_config()
     for cid in ("C07", "C09", "C17"):

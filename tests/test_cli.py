@@ -27,7 +27,7 @@ from sectormeans.cli import CSV_HEADER, main
 from sectormeans.norms import RadiusCertificateError
 from sectormeans.quadrature import MAX_NODES
 
-from conftest import load_script
+from conftest import below_radius_floor, load_script
 
 
 def put(tmp_path, name, M):
@@ -436,7 +436,9 @@ def test_a_failed_lapack_routine_exits_two(tmp_path, capsys, monkeypatch, fail_l
     """A LAPACK failure is one stderr line and exit 2, not a traceback."""
     from sectormeans import means
 
-    a, b = put(tmp_path, "a.json", gen_accretive(4, 1)), put(tmp_path, "b.json", gen_accretive(4, 2))
+    # the radius runs zggev only below the level-set floor
+    A = below_radius_floor() if name == "zggev" else gen_accretive(4, 1)
+    a, b = put(tmp_path, "a.json", A), put(tmp_path, "b.json", gen_accretive(4, 2))
     files = (a, b) if op[0] == "mean" else (a,)
     # a rule built earlier in the process would not reach dstevd
     monkeypatch.setattr(means, "_cached_rule", means._cached_rule.__wrapped__)
@@ -449,6 +451,7 @@ def test_a_failed_lapack_routine_exits_two(tmp_path, capsys, monkeypatch, fail_l
 @pytest.mark.parametrize("wrapper, op", [
     ("eigvals", ("wradius",)),
     ("eig", ("power", "--r", "0.5", "--engine", "eigen")),
+    ("solve", ("wradius",)),
 ])
 def test_a_numpy_linalg_error_exits_two(tmp_path, capsys, fail_lapack, wrapper, op):
     """NumPy's LinAlgError, raised where its own LAPACK call fails to
@@ -658,14 +661,20 @@ print(code, "scipy" in sys.modules, "orjson" in sys.modules)
     (("compute", "power", "A", "--r", "0.5", "--engine", "eigen"), False, True),
     (("compute", "mean", "A", "A", "--r", "1.5", "--engine", "eigen"), False, True),
     (("compute", "power", "A", "--r", "0.5"), True, True),
-    (("compute", "wradius", "A"), True, True),
-], ids=["import", "verify", "sector", "norm", "power-eigen", "mean-eigen", "power-quad", "wradius"])
+    (("compute", "wradius", "A"), False, True),
+    (("compute", "wradius", "S"), True, True),
+], ids=["import", "verify", "sector", "norm", "power-eigen", "mean-eigen", "power-quad", "wradius",
+        "wradius-below-floor"])
 def test_scipy_loads_only_on_first_use(tmp_path, argv, loads_scipy, loads_orjson):
     # SciPy serves only the Gauss-Jacobi rules, the quadrature kernel's Schur
-    # form and the radius pencil, and orjson only the matrix files; a
-    # top-level import of either anywhere in the package would fail this
-    A = put(tmp_path, "a.json", [[2.0, 1.0 + 0.5j, 0.0], [0.0, 3.0, 0.5j], [0.2, 0.0, 1.5]])
-    argv = [A if arg == "A" else arg for arg in argv]
+    # form and the radius pencil of a matrix below the level-set floor (S),
+    # and orjson only the matrix files; a top-level import of either anywhere
+    # in the package would fail this
+    paths = {
+        "A": put(tmp_path, "a.json", [[2.0, 1.0 + 0.5j, 0.0], [0.0, 3.0, 0.5j], [0.2, 0.0, 1.5]]),
+        "S": put(tmp_path, "s.json", below_radius_floor()),
+    }
+    argv = [paths.get(arg, arg) for arg in argv]
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(

@@ -36,7 +36,7 @@ from sectormeans.linalg import (
     sqrt_pd,
 )
 
-from conftest import rel_err
+from conftest import below_radius_floor, rel_err
 
 
 def random_complex(n, seed):
@@ -199,7 +199,8 @@ def test_lapack_returns_every_output_but_info():
 # zgees, under principal_power_quad and geometric_mean_integral, is
 # test_means.py::test_kernel_refuses_a_schur_failure
 @pytest.mark.parametrize("name, call, reason", [
-    ("zggev", lambda: numerical_radius(gen_accretive(3, 1)), "info=1"),
+    ("zggev", lambda: numerical_radius(below_radius_floor()), "info=1"),
+    ("solve", lambda: numerical_radius(gen_accretive(3, 1)), "did not converge"),
     ("dstevd", lambda: quadrature_rule(0.5, 16), "info=1"),
     ("eig", lambda: principal_power_eigen(gen_accretive(3, 1), 0.5), "did not converge"),
     ("eigh", lambda: sector_angle(gen_accretive(3, 1)), "did not converge"),
@@ -208,7 +209,7 @@ def test_lapack_returns_every_output_but_info():
     ("svd", lambda: op_norm(gen_accretive(3, 1)), "did not converge"),
     ("inv", lambda: inverse(gen_accretive(3, 1)), "did not converge"),
     ("qr", lambda: gen_unitary(3, 1), "did not converge"),
-], ids=["radius-zggev", "rule-dstevd", "power-eig", "angle-eigh", "accretive-eigvalsh",
+], ids=["radius-zggev", "radius-solve", "rule-dstevd", "power-eig", "angle-eigh", "accretive-eigvalsh",
         "radius-eigvals", "norm-svd", "inverse-inv", "unitary-qr"])
 def test_a_failed_lapack_routine_is_refused_by_name(fail_lapack, name, call, reason):
     fail_lapack(name)

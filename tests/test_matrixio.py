@@ -222,3 +222,147 @@ def test_parse_non_utf8_file(tmp_path):
     path.write_bytes(b"\xff\xfe")
     with pytest.raises(MatrixFormatError, match=r"utf16\.json: not UTF-8 text: invalid start byte at byte 0"):
         parse_matrix(path)
+
+
+def _text_mode_read(path):
+    """What parse_matrix gave when it read the file in text mode and handed
+    the text to loads_matrix: the matrix, or the message of its refusal."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        return f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+    try:
+        return loads_matrix(text)
+    except MatrixFormatError as exc:
+        return f"{path}: {exc}"
+
+
+def _read(path):
+    try:
+        return parse_matrix(path)
+    except MatrixFormatError as exc:
+        return str(exc)
+
+
+def _same(got, expected):
+    if isinstance(expected, str):
+        return got == expected
+    return isinstance(got, np.ndarray) and got.dtype == expected.dtype and (
+        got.shape == expected.shape and got.tobytes() == expected.tobytes())
+
+
+def _number(rng):
+    kind = rng.randrange(8)
+    if kind == 0:
+        return str(rng.randint(-10**6, 10**6))
+    if kind == 1:
+        return rng.choice(["-0.0", "-0", "0", "0.0", "-0e0"])
+    if kind == 2:
+        return f"{rng.uniform(-9, 9):.{rng.randint(1, 17)}f}{rng.choice('eE')}{rng.choice(['', '+', '-'])}{rng.randint(0, 300)}"
+    if kind == 3:
+        return rng.choice(["5e-324", "-4.9e-324", "2.2250738585072009e-308", "1e-310", "1.7976931348623157e308"])
+    if kind == 4:
+        return str(2**64 + rng.randint(0, 9))
+    return repr(rng.uniform(-1, 1) * 10.0 ** rng.randint(-300, 300))
+
+
+def _numbers_only_text(n, rng):
+    """A schema-valid file text of numbers only, with varied spacing and key order."""
+
+    def gap():
+        return "".join(rng.choice([" ", "\n", "\t", "\r\n", "\r", ""]) for _ in range(rng.randint(0, 2)))
+
+    def entry():
+        return f"[{gap()}{_number(rng)}{gap()},{gap()}{_number(rng)}{gap()}]"
+
+    rows = [f"[{gap()}" + f"{gap()},{gap()}".join(entry() for _ in range(n)) + f"{gap()}]" for _ in range(n)]
+    data = f'"data"{gap()}:{gap()}[{gap()}' + ",".join(rows) + f"{gap()}]"
+    size = f'"n"{gap()}:{gap()}{n}'
+    fields = [size, data] if rng.random() < 0.5 else [data, size]
+    return f"{gap()}{{{gap()}{fields[0]}{gap()},{gap()}{fields[1]}{gap()}}}{gap()}"
+
+
+def test_numbers_only_files_read_as_the_text_reader_read_them(tmp_path, monkeypatch):
+    # a file of numbers only is read by orjson from its bytes, with no walk
+    # over its scalars' types and never by json, into the bits the
+    # text-mode reader gave and json with one array conversion gives
+    from sectormeans import matrixio
+
+    rng = random.Random(31)
+    expected = {}
+    for n in (*range(1, 13), 16, 24, 32, 48, 64, 69, 70):
+        path = tmp_path / f"m{n}.json"
+        text = _numbers_only_text(n, rng)
+        path.write_bytes(text.encode())
+        expected[path] = _text_mode_read(path)
+        assert isinstance(expected[path], np.ndarray), expected[path]
+        flat = np.array(json.loads(text)["data"], dtype=np.float64)
+        assert _same(expected[path], flat.view(np.complex128).reshape(n, n)), path
+
+    def refuse(text):
+        raise AssertionError("json read the text")
+
+    flags = []
+    pairs = matrixio._pairs
+    monkeypatch.setattr(matrixio, "_json_read", refuse)
+    monkeypatch.setattr(matrixio, "_pairs", lambda data, n, numbers_only: flags.append(numbers_only) or pairs(data, n, numbers_only))
+    for path, matrix in expected.items():
+        assert _same(parse_matrix(path), matrix), path
+    assert flags == [True] * len(expected)
+
+
+ONE = b'{"n": 1, "data": [[[1.5, -2]]]}'
+TWO = b'{"n": 2, "data": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}'
+
+
+@pytest.mark.parametrize("raw", [
+    ONE.replace(b"}", b', "x": 1}'),
+    ONE.replace(b"1.5", b"true"),
+    ONE.replace(b"-2", b"false"),
+    ONE.replace(b"1.5", b'"1.5"'),
+    ONE.replace(b"1.5", b"null"),
+    ONE.replace(b'"n"', b'"\\u006e"'),
+    ONE.replace(b'"n": 1', b'"n": 1.0'),
+    TWO.replace(b"[[0, 0], [1, 0]]]", b"[[0, 0]]]"),
+    TWO.replace(b"[[[1, 0], [0, 0]]", b"[[[1, 0, 0], [0, 0]]"),
+    TWO.replace(b"[[[1, 0]", b"[[[1]"),
+    TWO.replace(b"[[0, 0], [1, 0]]]", b"[[0, 0], [1, 0]], []]"),
+    TWO.replace(b"[[0, 0], [1, 0]]]", b"[[0, 0], [1, {}]]]"),
+    ONE.replace(b"1.5", b"NaN"),
+    ONE.replace(b"1.5", b"Infinity"),
+    ONE.replace(b"1.5", b"1e400"),
+    ONE.replace(b"1.5", b"1" + b"0" * 400),
+    ONE.replace(b'"n": 1', b'"n": 18446744073709551616'),
+    b"\xef\xbb\xbf" + ONE,
+    ONE.replace(b"1.5", b"1.5\xff"),
+    ONE.replace(b'"n"', b'"\xc3\xa9"'),
+    ONE[:-3],
+    ONE.replace(b", ", b",\r").replace(b"]]]", b"]]],\r"),
+    ONE.replace(b", ", b",\r\n").replace(b"]]]", b"]]],\r\n"),
+    ONE.replace(b"[[[1.5, -2]]]", b"[" * 6000 + b"]" * 6000),
+    ONE + b" []",
+    b"",
+], ids=["extra-key", "true", "false", "string", "null", "escaped-key", "float-n", "short-data",
+        "long-row", "short-entry", "extra-row", "object-entry", "nan", "infinity", "1e400",
+        "huge-integer", "n-2^64", "bom", "invalid-utf8", "non-ascii-key", "truncated",
+        "cr-lines", "crlf-lines", "deep", "trailing-text", "empty"])
+def test_other_texts_keep_the_text_readers_result(tmp_path, raw):
+    # every text that is not a schema-valid file of numbers only has the
+    # result or the message the text-mode reader gave it
+    path = tmp_path / "m.json"
+    path.write_bytes(raw)
+    assert _same(_read(path), _text_mode_read(path))
+
+
+def test_a_file_past_the_bracket_bound_is_read_by_json(tmp_path, monkeypatch):
+    # n = 71 has 5114 brackets, more than orjson may nest, so json reads it
+    from sectormeans import matrixio
+
+    A = np.random.default_rng(71).normal(size=(71, 71, 2)) @ [1.0, 1.0j]
+    path = tmp_path / "m71.json"
+    write_matrix(A, path)
+    calls = []
+    read = matrixio._json_read
+    monkeypatch.setattr(matrixio, "_json_read", lambda text: calls.append(1) or read(text))
+    assert np.array_equal(parse_matrix(path), A) and calls == [1]

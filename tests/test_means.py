@@ -475,6 +475,27 @@ def test_mean_past_the_double_range_is_refused_by_both_engines(engine):
             geometric_mean(1e-200 * np.eye(2), 1e-300 * np.eye(2), 1.5, engine=engine)
 
 
+@pytest.mark.parametrize("a, b, expect", [
+    (1e300, 1e100, 1e-80),
+    (1e-300, 1e-100, 1e80),
+], ids=["large", "small"])
+def test_congruence_keeps_a_mean_whose_inner_power_leaves_the_range(a, b, expect):
+    # the inner matrix a^-1/2 b a^-1/2 is 1e-+200 I, whose power at 1.9
+    # leaves the double range, while the mean a^-0.9 b^1.9 does not
+    A, B = a * np.eye(3), b * np.eye(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eigen = geometric_mean(A, B, 1.9, engine="eigen")
+        quad = geometric_mean(A, B, 1.9, engine="quad")
+        assert rel_err(eigen, quad) <= 1e-14
+        # c^1.9 at c = 1e-+200 turns a rounding of c into |1.9 log c| ~ 875 ulps
+        assert rel_err(eigen, expect * np.eye(3)) <= 1e-12
+        # a non-normal pair takes the same scaled route
+        A, B = a * gen_accretive(3, 1), b * gen_accretive(3, 2)
+        eigen = geometric_mean(A, B, 1.9, engine="eigen")
+        assert rel_err(eigen, geometric_mean(A, B, 1.9, engine="quad")) <= 1e-12
+
+
 def test_mean_preconditions_have_one_order():
     # a pair that fails accretivity and the order is refused for accretivity
     # first, with one message from both engines

@@ -17,7 +17,9 @@ from sectormeans import (
 )
 from sectormeans import norms
 from sectormeans.cli import main
-from sectormeans.linalg import op_norm
+from sectormeans.linalg import LapackError, op_norm
+
+from conftest import below_radius_floor
 
 
 def random_complex(n, seed):
@@ -235,6 +237,173 @@ def test_radius_restarts_from_the_lower_basin(monkeypatch):
     assert peaks[0] == pytest.approx(1.002 / op_norm(A), rel=1e-12)
     assert len(starts) >= 2
     assert math.cos(starts[1] - math.pi / 16) ** 2 > 0.99
+
+
+def _rcond(A):
+    sv = np.linalg.svd(A, compute_uv=False)
+    return sv[-1] / sv[0]
+
+
+def _guard_family():
+    # (name, A) over n = 2..32 with sigma_min / sigma_max from 1 down to
+    # about 1e-12, on both sides of LEVEL_SET_RCOND
+    rng = np.random.default_rng(31)
+    family = []
+    for k in range(48):
+        n = int(rng.integers(2, 33))
+        kappa = 10.0 ** rng.uniform(0.0, 12.0)
+        U, V = gen_unitary(n, 2 * k), gen_unitary(n, 2 * k + 1)
+        if k % 4 == 0:  # normal, spectrum graded in modulus, spread in angle
+            lam = np.logspace(0.0, -math.log10(kappa), n) * np.exp(1j * rng.uniform(-3.0, 3.0, n))
+            A = (U * lam) @ U.conj().T
+        elif k % 4 == 1:  # triangular with graded rows
+            T = np.triu(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            A = np.logspace(0.0, -math.log10(kappa), n)[:, None] * T
+        elif k % 4 == 2:  # one small singular value
+            s = np.ones(n)
+            s[-1] = 1.0 / kappa
+            A = (U * s) @ V
+        else:  # a Jordan block closed into a cycle by a small corner entry
+            J = (0.5 + 0.3j) * np.eye(n) + np.eye(n, k=1)
+            J[-1, 0] = 1.0 / kappa
+            A = U @ J @ U.conj().T
+        family.append((f"{k}-n{n}", A))
+    return family
+
+
+def _pencil_radius(monkeypatch, A):
+    # the radius with every level-set test on the zggev pencil
+    with monkeypatch.context() as m:
+        m.setattr(norms, "LEVEL_SET_RCOND", math.inf)
+        return numerical_radius(A)
+
+
+def _record_forms(monkeypatch):
+    # one entry per level-set test: True for the standard form, False for zggev
+    forms = []
+    solve = norms._pencil_eigvals
+    monkeypatch.setattr(norms, "_pencil_eigvals",
+                        lambda a, b: forms.append(b is None) or solve(a, b))
+    return forms
+
+
+def test_radius_standard_form_matches_the_pencil_above_the_floor(monkeypatch):
+    # above LEVEL_SET_RCOND the level-set test is the standard eigenproblem
+    # of W^{-1} P and agrees with the pencil's radius to rounding; below it,
+    # the pencil runs, so the two calls are one computation
+    forms = _record_forms(monkeypatch)
+    sides = set()
+    for name, A in _guard_family():
+        above = _rcond(A) >= norms.LEVEL_SET_RCOND
+        sides.add(above)
+        forms.clear()
+        w = numerical_radius(A)
+        assert forms and set(forms) == {above}, name
+        pencil = _pencil_radius(monkeypatch, A)
+        if above:
+            assert w == pytest.approx(pencil, rel=1e-13, abs=0.0), name
+        else:
+            assert w == pencil, name
+    assert sides == {True, False}
+
+
+def _two_peaks(n, delta, rcond, seed):
+    # w(A) = 1, at angle 0, from a 2 x 2 block whose numerical range is the
+    # disk |z - 1/2| <= 1/2; a second support peak 1 - delta at angle 2 holds
+    # the eigenvalue of largest modulus, where the climb starts, so the first
+    # level is 1 - delta and its crossings lie 4 sqrt(delta) apart around 0.
+    # One eigenvalue of modulus rcond ||A|| sets sigma_min / sigma_max.
+    rng = np.random.default_rng(seed)
+    D = np.zeros((n, n), dtype=np.complex128)
+    D[:2, :2] = [[0.5, 1.0], [0.0, 0.5]]
+    D[2, 2] = (1.0 - delta) * np.exp(2j)
+    for k in range(3, n - 1):
+        D[k, k] = 0.4 * np.exp(1j * rng.uniform(-math.pi, math.pi))
+    D[-1, -1] = rcond * op_norm(D[:2, :2]) * np.exp(1j * rng.uniform(-math.pi, math.pi))
+    Q = gen_unitary(n, seed)
+    return Q @ D @ Q.conj().T
+
+
+def test_radius_finds_a_near_equal_peak_just_above_the_floor(monkeypatch):
+    # near a tangency the solve's rounding, about eps sigma_max / sigma_min,
+    # moves the crossing pair off the circle by about its square root, which
+    # at the floor is still inside the unimodularity window
+    forms = _record_forms(monkeypatch)
+    for n in (4, 8, 16):
+        for delta in (1e-6, 1e-8, 1e-10, 1e-12):
+            for seed in (0, 1):
+                A = _two_peaks(n, delta, 2e-6, seed)
+                assert _rcond(A) >= norms.LEVEL_SET_RCOND
+                forms.clear()
+                assert numerical_radius(A) == pytest.approx(1.0, abs=1e-13), (n, delta, seed)
+                assert forms and all(forms)
+
+
+def test_radius_keeps_the_pencil_where_a_near_equal_peak_escapes(monkeypatch):
+    # at sigma_min / sigma_max = 1e-8 that departure is about 1.5e-4, past the
+    # window: the standard form misses the crossings below the higher peak
+    # and stops at the lower one, where the pencil finds w(A) = 1
+    # in a few of these 54 cases (which ones depends on the rounding)
+    misses = 0
+    for n in (4, 6, 8):
+        for delta in (1e-9, 1e-10, 1e-11):
+            for seed in range(6):
+                A = _two_peaks(n, delta, 1e-8, seed)
+                assert _rcond(A) < norms.LEVEL_SET_RCOND
+                with monkeypatch.context() as m:
+                    m.setattr(norms, "LEVEL_SET_RCOND", 0.0)
+                    misses += numerical_radius(A) < 1.0 - 1e-13
+                assert numerical_radius(A) == pytest.approx(1.0, abs=1e-13), (n, delta, seed)
+    assert misses
+
+
+def _unguarded_failure():
+    # sigma_min / sigma_max = 1e-11: there the standard form reads W^{-1} P
+    # too coarsely to see the crossings of the level, and stops 6% low
+    rng = np.random.default_rng(588)
+    q1, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    q2, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    return (q1 * np.array([1.0, 1.0, 1.0, 1e-11])) @ q2
+
+
+def test_radius_below_the_floor_keeps_the_pencil(monkeypatch):
+    A = _unguarded_failure()
+    assert _rcond(A) == pytest.approx(1e-11, rel=1e-3)
+    pencil = _pencil_radius(monkeypatch, A)
+    # the pencil's value is the support function's maximum
+    thetas = np.linspace(0.0, 2.0 * math.pi, 20001)
+    grid = float(norms._support(A, thetas).max())
+    assert pencil == pytest.approx(grid, rel=1e-7)
+    with monkeypatch.context() as m:
+        m.setattr(norms, "LEVEL_SET_RCOND", 0.0)
+        try:
+            unguarded = numerical_radius(A)
+        except norms.RadiusCertificateError:
+            unguarded = math.nan
+    assert not abs(unguarded - pencil) <= 0.01 * pencil
+    assert numerical_radius(A) == pencil
+
+
+@pytest.mark.parametrize("A", [
+    np.eye(5, k=1),
+    (gen_unitary(5, 3) * np.array([1.0, 0.8, 0.5, 0.2, 0.0])) @ gen_unitary(5, 4),
+], ids=["shift", "rank-four"])
+def test_radius_of_a_singular_matrix_keeps_the_pencil(monkeypatch, A):
+    # A* has no inverse (exactly, or to rounding), so every level-set test
+    # runs on the pencil, which drops its infinite eigenvalues
+    forms = _record_forms(monkeypatch)
+    w = numerical_radius(A)
+    assert forms and not any(forms)
+    assert w == _pencil_radius(monkeypatch, A)
+
+
+def test_radius_refuses_a_failed_level_set_eigensolve(fail_lapack):
+    # a level's eigvals (of the 2n x 2n W^{-1} P, not the start angle's
+    # n x n) fails as LapackError naming the routine; a failed solve with A*
+    # is test_linalg.py's radius-solve case
+    fail_lapack("eigvals", lambda a: len(a) == 8)
+    with pytest.raises(LapackError, match="^LAPACK eigvals failed \\(did not converge\\)$"):
+        numerical_radius(random_complex(4, 5))
 
 
 def test_radius_subadditive():

@@ -22,6 +22,7 @@ from sectormeans import (
     gen_pd,
     gen_sectorial,
     gen_unitary,
+    geometric_mean,
     in_sector,
     is_accretive,
     sector_angle,
@@ -79,6 +80,16 @@ def test_is_accretive_examples():
     # the floor is relative to max|a_ij|, so scaling cannot change the verdict
     holds, margin = is_accretive(1e-15 * gen_accretive(4, 1))
     assert holds and margin > 0.0
+
+
+def test_accretive_floor_refuses_a_margin_of_1e_minus_13():
+    # lambda_min(Re A) = 1e-13 max|a_ij| is positive but under the floor of
+    # 1e-12 max|a_ij|, so A is refused as not accretive
+    A = np.array([[1.0, 0.5j], [0.5j, 1e-13]])
+    holds, margin = is_accretive(A)
+    assert margin == pytest.approx(1e-13, rel=1e-6) and not holds
+    with pytest.raises(PreconditionError, match="first argument is not accretive"):
+        geometric_mean(A, np.eye(2), 0.5)
 
 
 def test_sector_angle_scalar():
