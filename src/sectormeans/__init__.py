@@ -8,7 +8,7 @@ through branch-specific integral representations discretized by
 Gauss-Jacobi quadrature.
 """
 
-from .linalg import LapackError, PreconditionError, SingularMatrixError, loewner_leq
+from .linalg import LapackError, PreconditionError, SingularMatrixError
 from .sectors import (
     MAX_DIM,
     SectorCertificate,
@@ -100,7 +100,6 @@ __all__ = [
     "is_accretive",
     "jacobi_exponents",
     "loads_matrix",
-    "loewner_leq",
     "mean_order_branch",
     "numerical_radius",
     "parse_matrix",

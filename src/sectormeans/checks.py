@@ -37,10 +37,11 @@ from .linalg import (
 from .maps import PositiveUnitalMap, apply_map
 from .means import (
     _congruence,
+    _eigen_power,
+    _finite,
     _resolvent_mean,
     arithmetic_mean,
     harmonic_mean,
-    principal_power_eigen,
 )
 from .norms import numerical_radius, ui_norm
 from .quadrature import MAX_NODES
@@ -181,8 +182,9 @@ def _rel(X: np.ndarray, Y: np.ndarray) -> float:
 
 
 # The sampler's certificates vouch for the instances, so the checks run the
-# kernels of `geometric_mean` on them without its validation: the quadrature
-# kernel `_resolvent_mean` and the congruence `_congruence`.  A pair
+# kernels of `geometric_mean` and `principal_power` on them without their
+# validation: the quadrature kernel `_resolvent_mean`, the congruence
+# `_congruence` and the eigen power `_eigen_power`.  A pair
 # (None, A) is the power A^r; a claim that compares two means at one order
 # passes both pairs in one call, so they share one rule.
 def _mean(A: np.ndarray, B: np.ndarray, r: float, ctx: EvalContext) -> np.ndarray:
@@ -384,7 +386,7 @@ def _integral_vs_congruence(inst: Instance, ctx: EvalContext) -> list[Term]:
 def _quad_vs_eigen(inst: Instance, ctx: EvalContext) -> list[Term]:
     return [(
         _resolvent_mean([(None, inst.A)], inst.r, ctx.nodes)[0],
-        principal_power_eigen(inst.A, inst.r),
+        _finite(_eigen_power(inst.A, inst.r)),
     )]
 
 

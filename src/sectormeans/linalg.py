@@ -33,13 +33,11 @@ __all__ = [
     "LapackError",
     "as_matrix",
     "is_hermitian",
-    "require_hermitian",
     "real_part",
     "imag_part",
     "inverse",
     "sqrt_pd",
     "loewner_margin",
-    "loewner_leq",
     "singular_values",
     "op_norm",
     "lapack",
@@ -50,8 +48,8 @@ __all__ = [
 # not as noise to be symmetrized away.
 HERMITIAN_CERT_TOL = 1e-12
 
-# Relative slack of the tolerant order comparisons (Loewner order, sector
-# cones): a margin down to -REL_SLACK times the operands' scale still holds.
+# Relative slack of the tolerant sector-cone comparisons (`sectors.in_sector`):
+# a margin down to -REL_SLACK times the operands' scale still holds.
 REL_SLACK = 1e-9
 
 # Reciprocal condition number below which a matrix is declared singular.
@@ -85,13 +83,6 @@ def as_matrix(A) -> np.ndarray:
 def is_hermitian(H: np.ndarray) -> bool:
     scale = np.abs(H).max(initial=0.0)
     return bool(np.abs(H - H.conj().T).max(initial=0.0) <= HERMITIAN_CERT_TOL * scale)
-
-
-def require_hermitian(H: np.ndarray, what: str = "matrix") -> np.ndarray:
-    H = as_matrix(H)
-    if not is_hermitian(H):
-        raise PreconditionError(f"{what} is not Hermitian")
-    return H
 
 
 def real_part(A: np.ndarray) -> np.ndarray:
@@ -138,20 +129,6 @@ def loewner_margin(lhs: np.ndarray | float, rhs: np.ndarray | float) -> float:
     both.  Operands are trusted arrays; nothing is validated here.
     """
     return float(lapack("eigvalsh")(real_part(rhs - lhs))[0])
-
-
-def loewner_leq(H: np.ndarray, K: np.ndarray) -> tuple[bool, float]:
-    """Decide H <= K in the Loewner order, tolerantly.
-
-    Returns (holds, margin) where margin = lambda_min(K - H).  The
-    comparison holds when margin >= -REL_SLACK * max(||H||, ||K||).
-    """
-    H = require_hermitian(H, "left operand")
-    K = require_hermitian(K, "right operand")
-    if H.shape != K.shape:
-        raise PreconditionError(f"dimension mismatch: {H.shape} vs {K.shape}")
-    margin = loewner_margin(H, K)
-    return margin >= -REL_SLACK * max(op_norm(H), op_norm(K)), margin
 
 
 def singular_values(A: np.ndarray) -> np.ndarray:

@@ -39,12 +39,16 @@ computes: P^{-1} Q with an eigenvalue that is 0, or within 1e-13 rad of the
 negative axis, raises PrincipalBranchError (`_off_cut`).
 
 The eigen route diagonalizes and applies the principal branch of z^r on the
-spectrum; the mean A #_r B is then the congruence
+spectrum (`_eigen_power`); the mean A #_r B is then the congruence
 A^{1/2} (A^{-1/2} B A^{-1/2})^r A^{1/2}.  So each object has one route per
-engine, and `principal_power` and `geometric_mean` pick it by name; the
-latter validates once and hands trusted arrays to the kernel `_resolvent_mean`
-or `_congruence`, as the `checks` catalog does with the sampler's instances.
-Every route ends in one range check, `_finite`.  The
+engine, and `principal_power` and `geometric_mean` pick it by name.  They are
+the one validated entry of each object: both admit their input by one rule,
+`_admit`, which refuses a bad engine, operand, order or node budget on
+either engine, and hand trusted arrays to the kernels `_resolvent_mean`,
+`_eigen_power` or `_congruence`, as the `checks` catalog does with the
+sampler's instances.  `principal_power_eigen`, `principal_power_quad` and
+`geometric_mean_integral` are spellings of those entries with the engine
+fixed.  Every route ends in one range check, `_finite`.  The
 reflection, negation and inverse identities that relate A #_r B across the
 branches are claims of the `checks` catalog (I01-I03), not routes.
 """
@@ -52,6 +56,7 @@ branches are claims of the `checks` catalog (I01-I03), not routes.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -71,6 +76,7 @@ from .quadrature import (
     mean_order_branch,
     node_count,
     quadrature_rule,
+    require_node_count,
     truncation_estimate,
 )
 from .sectors import is_accretive
@@ -139,9 +145,9 @@ def _pair(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def harmonic_mean(A: np.ndarray, B: np.ndarray, s: float) -> np.ndarray:
     """Weighted harmonic mean ((1-s) A^{-1} + s B^{-1})^{-1} for s in [0, 1]."""
     A, B = _pair(A, B)
-    s = float(s)
-    if not 0.0 <= s <= 1.0:
+    if not (isinstance(s, numbers.Real) and 0.0 <= s <= 1.0):
         raise PreconditionError(f"harmonic weight must lie in [0, 1], got {s}")
+    s = float(s)
     if s == 0.0:
         return A.copy()
     if s == 1.0:
@@ -150,32 +156,24 @@ def harmonic_mean(A: np.ndarray, B: np.ndarray, s: float) -> np.ndarray:
 
 
 def arithmetic_mean(A: np.ndarray, B: np.ndarray, r: float) -> np.ndarray:
-    """Weighted arithmetic combination (1-r) A + r B (any real r)."""
+    """Weighted arithmetic combination (1-r) A + r B (any finite real r)."""
     A, B = _pair(A, B)
-    return (1.0 - float(r)) * A + float(r) * B
-
-
-def principal_power_eigen(A: np.ndarray, r: float) -> np.ndarray:
-    """A^r through the eigendecomposition and the principal branch of z^r.
-
-    Rejects spectra touching (-inf, 0] (`eig`'s within 1e-13 max|lambda|, as
-    its eigenvalues err by about eps ||A|| cond(V)), eigenvector bases with
-    condition number above EIG_COND_LIMIT (the result could not be certified
-    to the tolerances the rest of the package promises) and results that
-    overflow or underflow the double range.  It accepts any real r.
-    """
-    A = as_matrix(A)
+    if not (isinstance(r, numbers.Real) and math.isfinite(r)):
+        raise PreconditionError(f"arithmetic weight must be a finite real number, got {r}")
     r = float(r)
-    if r == 0.0:
-        return np.eye(len(A), dtype=np.complex128)
-    if r == 1.0:
-        return A.copy()
-    return _finite(_eigen_power(A, r))
+    return (1.0 - r) * A + r * B
 
 
 def _eigen_power(A: np.ndarray, r: float) -> np.ndarray:
-    """`principal_power_eigen` on a trusted A at r off {0, 1}, with no range
-    check: past the double range the result holds inf or nan, or is all zero."""
+    """The eigen kernel of A^r: the eigendecomposition and the principal branch
+    of z^r, on a trusted A at r off {0, 1}.
+
+    It refuses spectra touching (-inf, 0] (`eig`'s within 1e-13 max|lambda|,
+    as its eigenvalues err by about eps ||A|| cond(V)) and eigenvector bases
+    with condition number above EIG_COND_LIMIT (the result could not be
+    certified to the tolerances the rest of the package promises).  It has no
+    range check: past the double range the result holds inf or nan, or is
+    all zero, so callers end in `_finite`."""
     if is_hermitian(A):
         w, V = lapack("eigh")(A)
         if w[0] <= 0.0:
@@ -311,35 +309,11 @@ def _resolvent_mean(
         n_nodes *= 2
 
 
-def principal_power_quad(A: np.ndarray, r: float, nodes: int = MAX_NODES) -> np.ndarray:
-    """A^r as the quadrature kernel on (I, A), with at most `nodes` nodes.
-
-    r = 0 and r = 1 pass through exactly.
-    """
-    A = as_matrix(A)
-    r = float(r)
-    if mean_order_branch(r) == "endpoint":
-        return np.eye(len(A), dtype=np.complex128) if r == 0.0 else A.copy()
-    return _resolvent_mean([(None, A)], r, nodes)[0]
-
-
 # Fixed-r suites and repeated compute calls (traced hit ratio 0.333) reuse rules:
 # 66 is the least size keeping r01, r12 and rneg at 500 trials at 95% of 512's hits.
 @lru_cache(maxsize=66)
 def _cached_rule(r: float, n_nodes: int) -> QuadratureRule:
     return quadrature_rule(r, n_nodes)
-
-
-def principal_power(
-    A: np.ndarray, r: float, engine: str = "eigen", nodes: int = MAX_NODES
-) -> np.ndarray:
-    """Engine dispatcher for principal powers restricted to r in (-1, 2)."""
-    if engine not in ENGINES:
-        raise PreconditionError(f"unknown engine {engine!r}, expected one of {ENGINES}")
-    if engine == "eigen":
-        mean_order_branch(r)
-        return principal_power_eigen(A, r)
-    return principal_power_quad(A, r, nodes)
 
 
 def _congruence(A: np.ndarray, B: np.ndarray, r: float) -> np.ndarray:
@@ -358,7 +332,7 @@ def _congruence(A: np.ndarray, B: np.ndarray, r: float) -> np.ndarray:
     the inner matrix scaled by an even power of two, 2^-shift, and `_scaled`
     applies 2^(shift r) to the product last.  Elsewhere no scale enters.
     """
-    root = principal_power_eigen(A, 0.5)
+    root = _finite(_eigen_power(A, 0.5))
     root_inv = inverse(root)
     with np.errstate(over="ignore", invalid="ignore"):
         inner = root_inv @ B @ root_inv
@@ -375,26 +349,68 @@ def _congruence(A: np.ndarray, B: np.ndarray, r: float) -> np.ndarray:
         return _scaled(root @ powered @ root, 1.0, shift, r)
 
 
+def _admit(engine: str, operands: list, r: float, nodes: int) -> tuple:
+    """The one admission rule of A^r (one operand, any square matrix) and of
+    A #_r B (two accretive matrices of one shape), on both engines.  It
+    refuses, in this order, an unknown engine, the operands, an order that is
+    not a real number in (-1, 2) and a node budget that is not an integer in
+    MIN_NODES..MAX_NODES, and returns the operands, then r as a float."""
+    if engine not in ENGINES:
+        raise PreconditionError(f"unknown engine {engine!r}, expected one of {ENGINES}")
+    if len(operands) == 1:
+        operands = [as_matrix(operands[0])]
+    else:
+        operands = _pair(*operands)
+        for M, name in zip(operands, ("first argument", "second argument")):
+            holds, least = is_accretive(M)
+            if not holds:
+                raise PreconditionError(
+                    f"{name} is not accretive (min Re-part eigenvalue {least:.3e})"
+                )
+    mean_order_branch(r)
+    require_node_count(nodes)
+    return (*operands, float(r))
+
+
+def principal_power(
+    A: np.ndarray, r: float, engine: str = "eigen", nodes: int = MAX_NODES
+) -> np.ndarray:
+    """A^r for r in (-1, 2), by the route `engine` names: the one validated
+    entry for the power (`_admit`).  r = 0 and r = 1 pass through exactly;
+    "quad" is then the quadrature kernel on (I, A), with at most `nodes`
+    nodes, and "eigen" the eigen kernel (`_eigen_power`)."""
+    A, r = _admit(engine, [A], r, nodes)
+    if r == 0.0 or r == 1.0:
+        return np.eye(len(A), dtype=np.complex128) if r == 0.0 else A.copy()
+    if engine == "quad":
+        return _resolvent_mean([(None, A)], r, nodes)[0]
+    return _finite(_eigen_power(A, r))
+
+
+def principal_power_eigen(A: np.ndarray, r: float) -> np.ndarray:
+    """A^r through the eigendecomposition: `principal_power` on engine "eigen"."""
+    return principal_power(A, r, "eigen")
+
+
+def principal_power_quad(A: np.ndarray, r: float, nodes: int = MAX_NODES) -> np.ndarray:
+    """A^r as the quadrature kernel on (I, A): `principal_power` on engine "quad"."""
+    return principal_power(A, r, "quad", nodes)
+
+
 def geometric_mean(
     A: np.ndarray, B: np.ndarray, r: float, engine: str = "eigen", nodes: int = MAX_NODES
 ) -> np.ndarray:
     """Weighted geometric mean A #_r B, by the route `engine` names.
 
-    The one validated entry for the mean.  It refuses, in this order, an
-    unknown engine, a pair that is not two matrices of one shape, an argument
-    that is not accretive and an order outside (-1, 2); r = 0 and r = 1 pass
-    A and B through.  "quad" is then the quadrature kernel on (A, B), with at
-    most `nodes` nodes, and "eigen" the congruence (`_congruence`).
+    The one validated entry for the mean (`_admit`).  It refuses, in this
+    order, an unknown engine, a pair that is not two matrices of one shape,
+    an argument that is not accretive, an order outside (-1, 2) and a node
+    budget; r = 0 and r = 1 pass A and B through.  "quad" is then the
+    quadrature kernel on (A, B), with at most `nodes` nodes, and "eigen" the
+    congruence (`_congruence`).
     """
-    if engine not in ENGINES:
-        raise PreconditionError(f"unknown engine {engine!r}, expected one of {ENGINES}")
-    A, B = _pair(A, B)
-    for M, name in ((A, "first argument"), (B, "second argument")):
-        holds, least = is_accretive(M)
-        if not holds:
-            raise PreconditionError(f"{name} is not accretive (min Re-part eigenvalue {least:.3e})")
-    r = float(r)
-    if mean_order_branch(r) == "endpoint":
+    A, B, r = _admit(engine, [A, B], r, nodes)
+    if r == 0.0 or r == 1.0:
         return A.copy() if r == 0.0 else B.copy()
     if engine == "quad":
         return _resolvent_mean([(A, B)], r, nodes)[0]

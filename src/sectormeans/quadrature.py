@@ -28,6 +28,7 @@ decay to the error of the rule.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,8 @@ class NodeBudgetError(PreconditionError):
 
 def mean_order_branch(r: float) -> str:
     """Classify a mean order: 'r01', 'r12', 'rneg', or 'endpoint' for r in {0, 1}."""
+    if not isinstance(r, numbers.Real):
+        raise PreconditionError(f"mean order must be a real number, got {r!r}")
     r = float(r)
     if r == 0.0 or r == 1.0:
         return "endpoint"
@@ -87,11 +90,12 @@ def jacobi_exponents(r: float) -> tuple[float, float]:
 
 
 def require_node_count(n_nodes: int) -> int:
-    """n_nodes as an int, refused unless it lies in MIN_NODES..MAX_NODES."""
-    n_nodes = int(n_nodes)
-    if not MIN_NODES <= n_nodes <= MAX_NODES:
-        raise PreconditionError(f"nodes must lie in {MIN_NODES}..{MAX_NODES}, got {n_nodes}")
-    return n_nodes
+    """n_nodes as an int, refused unless it is an integer in MIN_NODES..MAX_NODES."""
+    if not (isinstance(n_nodes, numbers.Integral) and MIN_NODES <= n_nodes <= MAX_NODES):
+        raise PreconditionError(
+            f"nodes must be an integer in {MIN_NODES}..{MAX_NODES}, got {n_nodes!r}"
+        )
+    return int(n_nodes)
 
 
 def node_count(mu: np.ndarray, budget: int = MAX_NODES) -> int:

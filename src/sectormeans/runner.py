@@ -17,6 +17,7 @@ function, so a replayed seed ends as its trial did.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -69,16 +70,23 @@ class RunConfig:
     force_pd: bool = False
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise PreconditionError(f"trials must be >= 1, got {self.trials}")
-        if not 1 <= self.dim_min <= self.dim_max <= MAX_DIM:
+        if not (isinstance(self.trials, numbers.Integral) and self.trials >= 1):
+            raise PreconditionError(f"trials must be an integer >= 1, got {self.trials!r}")
+        dims = (self.dim_min, self.dim_max)
+        if not (all(isinstance(d, numbers.Integral) for d in dims)
+                and 1 <= self.dim_min <= self.dim_max <= MAX_DIM):
             raise PreconditionError(
-                f"need 1 <= dim_min <= dim_max <= {MAX_DIM}, got {self.dim_min}..{self.dim_max}"
+                f"need integers 1 <= dim_min <= dim_max <= {MAX_DIM}, "
+                f"got {self.dim_min!r}..{self.dim_max!r}"
             )
         require_node_count(self.nodes)
-        if not 0.0 < self.tol < math.inf:
-            raise PreconditionError(f"tol must be positive and finite, got {self.tol}")
-        if not self.alphas or not all(0.0 <= a < math.pi / 2 for a in self.alphas):
+        if not (isinstance(self.tol, numbers.Real) and 0.0 < self.tol < math.inf):
+            raise PreconditionError(f"tol must be positive and finite, got {self.tol!r}")
+        if not (isinstance(self.r_override, numbers.Real) or self.r_override is None):
+            raise PreconditionError(f"r_override must be a real number, got {self.r_override!r}")
+        if not self.alphas or not all(
+            isinstance(a, numbers.Real) and 0.0 <= a < math.pi / 2 for a in self.alphas
+        ):
             raise PreconditionError(f"alphas must lie in [0, pi/2), got {self.alphas}")
 
 

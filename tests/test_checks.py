@@ -131,6 +131,11 @@ def test_runconfig_validation():
         RunConfig(nodes=MAX_NODES + 1)
     assert RunConfig(nodes=MAX_NODES).nodes == MAX_NODES
     assert RunConfig().nodes == MAX_NODES
+    # a value of the wrong type is refused like one out of range
+    for field in ({"trials": "3"}, {"dim_min": "2"}, {"dim_max": 4.5}, {"tol": "x"},
+                  {"nodes": "x"}, {"nodes": 64.5}, {"r_override": "x"}, {"alphas": ("x",)}):
+        with pytest.raises(PreconditionError, match=next(iter(field))):
+            RunConfig(**field)
 
 
 def test_sample_r_stays_inside_open_interval():

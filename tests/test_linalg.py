@@ -17,7 +17,6 @@ from sectormeans import (
     gen_pd,
     gen_unitary,
     is_accretive,
-    loewner_leq,
     numerical_radius,
     principal_power_eigen,
     quadrature_rule,
@@ -63,11 +62,10 @@ EMPTY = np.zeros((0, 0))
     lambda: sm.geometric_mean(EMPTY, EMPTY, 0.5),
     lambda: sm.geometric_mean_integral(EMPTY, EMPTY, 0.5),
     lambda: sm.harmonic_mean(EMPTY, EMPTY, 0.5),
-    lambda: sm.loewner_leq(EMPTY, EMPTY),
     lambda: sm.dumps_matrix(EMPTY),
 ], ids=["numerical_radius", "ui_norm", "sector_angle", "is_accretive", "in_sector",
         "power_eigen", "power_quad", "geometric_mean", "geometric_mean_integral",
-        "harmonic_mean", "loewner_leq", "dumps_matrix"])
+        "harmonic_mean", "dumps_matrix"])
 def test_empty_matrix_is_a_precondition_error(call):
     with pytest.raises(PreconditionError, match="non-empty"):
         call()
@@ -135,29 +133,14 @@ def test_sqrt_pd_rejects_indefinite():
 
 def test_loewner_examples():
     I2 = np.eye(2)
-    holds, margin = loewner_leq(I2, 2 * I2)
-    assert holds and margin == pytest.approx(1.0)
-    holds, margin = loewner_leq(2 * I2, I2)
-    assert not holds and margin == pytest.approx(-1.0)
-    # equality counts as <=
-    holds, _ = loewner_leq(I2, I2)
-    assert holds
-    # the slack scales with the operands, so tiny matrices get no absolute floor
-    holds, margin = loewner_leq(2e-12 * I2, 1e-12 * I2)
-    assert not holds and margin == pytest.approx(-1e-12)
-    # the order is defined on Hermitian operands only
-    with pytest.raises(PreconditionError):
-        loewner_leq(np.array([[0.0, 1.0], [0.0, 0.0]]), I2)
-
-
-def test_loewner_tolerance_policy():
-    # the fixed relative slack is 1e-9: a 1e-10 excess still counts as <=,
-    # a 1e-8 excess does not
-    I2 = np.eye(2)
-    holds, _ = loewner_leq(I2 + 1e-10 * I2, I2)
-    assert holds
-    holds, _ = loewner_leq(I2 + 1e-8 * I2, I2)
-    assert not holds
+    assert loewner_margin(I2, 2 * I2) == pytest.approx(1.0)
+    assert loewner_margin(2 * I2, I2) == pytest.approx(-1.0)
+    # equality is a margin of 0
+    assert loewner_margin(I2, I2) == 0.0
+    # no absolute floor: tiny operands keep their margin
+    assert loewner_margin(2e-12 * I2, 1e-12 * I2) == pytest.approx(-1e-12)
+    # a non-Hermitian difference is measured by its Hermitian part
+    assert loewner_margin(0.0, np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(-0.5)
 
 
 @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=10**6))

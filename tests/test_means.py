@@ -6,6 +6,7 @@ independent engines and on the commuting case, where everything reduces to
 entrywise powers.
 """
 
+import inspect
 import math
 import warnings
 
@@ -88,6 +89,13 @@ def test_arithmetic_endpoint():
     assert rel_err(arithmetic_mean(A, B, 0.0), A) <= 1e-15
 
 
+@pytest.mark.parametrize("r", [math.nan, math.inf, "x", None])
+def test_arithmetic_refuses_a_weight_that_is_not_a_finite_number(r):
+    A, B = gen_accretive(3, 2), gen_accretive(3, 3)
+    with pytest.raises(PreconditionError, match="arithmetic weight must be a finite real number"):
+        arithmetic_mean(A, B, r)
+
+
 # ------------------------------------------------------------------ powers
 
 
@@ -97,8 +105,9 @@ def test_power_eigen_diagonal():
 
 
 def test_power_eigen_scalar_complex():
-    out = principal_power_eigen(scalar(1.0 + 1.0j), 2.0)
-    assert out[0, 0] == pytest.approx(2.0j, abs=1e-13)
+    # (1+i)^1.5 = 2^(3/4) e^(3i pi/8), on the principal branch
+    out = principal_power_eigen(scalar(1.0 + 1.0j), 1.5)
+    assert out[0, 0] == pytest.approx(2**0.75 * np.exp(3j * np.pi / 8), abs=1e-13)
 
 
 def test_power_identity_cases():
@@ -279,6 +288,61 @@ def test_power_dispatcher_engines_agree():
         principal_power(A, 0.5, engine="taylor")
     with pytest.raises(PreconditionError):
         principal_power(A, 2.5)
+
+
+BOUNDARY_A, BOUNDARY_B = gen_accretive(3, 70), gen_accretive(3, 71)
+# every spelling of A^r and A #_r B, by the arguments it takes
+SPELLINGS = {
+    "principal_power-eigen": lambda r, engine="eigen", nodes=MAX_NODES:
+        principal_power(BOUNDARY_A, r, engine, nodes),
+    "principal_power-quad": lambda r, engine="quad", nodes=MAX_NODES:
+        principal_power(BOUNDARY_A, r, engine, nodes),
+    "principal_power_eigen": lambda r: principal_power_eigen(BOUNDARY_A, r),
+    "principal_power_quad": lambda r, nodes=MAX_NODES: principal_power_quad(BOUNDARY_A, r, nodes),
+    "geometric_mean-eigen": lambda r, engine="eigen", nodes=MAX_NODES:
+        geometric_mean(BOUNDARY_A, BOUNDARY_B, r, engine, nodes),
+    "geometric_mean-quad": lambda r, engine="quad", nodes=MAX_NODES:
+        geometric_mean(BOUNDARY_A, BOUNDARY_B, r, engine, nodes),
+    "geometric_mean_integral": lambda r, nodes=MAX_NODES:
+        geometric_mean_integral(BOUNDARY_A, BOUNDARY_B, r, nodes),
+}
+ORDER_MESSAGE = "mean order must lie in (-1,0) u (0,1) u (1,2) or be 0 or 1, got "
+BAD_INPUTS = [
+    ({"r": 0.4, "engine": "taylor"},
+     "unknown engine 'taylor', expected one of ('quad', 'eigen')"),
+    ({"r": "x"}, "mean order must be a real number, got 'x'"),
+    ({"r": None}, "mean order must be a real number, got None"),
+    ({"r": math.nan}, ORDER_MESSAGE + "nan"),
+    ({"r": 2.5}, ORDER_MESSAGE + "2.5"),
+    ({"r": 2.0}, ORDER_MESSAGE + "2.0"),
+] + [
+    ({"r": r, "nodes": nodes}, f"nodes must be an integer in {MIN_NODES}..{MAX_NODES}, got {nodes!r}")
+    for nodes in (2, 5000, "x", 7.9) for r in (0.0, 1.0, 0.4)
+]
+
+
+@pytest.mark.parametrize("spelling, bad, message", [
+    pytest.param(spelling, bad, message, id=f"{spelling}-{'-'.join(map(str, bad.values()))}")
+    for spelling, call in SPELLINGS.items()
+    for bad, message in BAD_INPUTS
+    if set(bad) <= set(inspect.signature(call).parameters)
+])
+def test_every_spelling_refuses_a_bad_input_alike(spelling, bad, message):
+    """principal_power and geometric_mean are the one validated entry of each
+    object, so every spelling gives one refusal for each bad argument, on
+    both engines and at the endpoints r = 0 and 1 too."""
+    with pytest.raises(PreconditionError) as info:
+        SPELLINGS[spelling](**bad)
+    assert type(info.value) is PreconditionError and str(info.value) == message
+
+
+def test_power_refuses_the_matrix_before_the_order():
+    # and the order before the node budget
+    for engine in ENGINES:
+        with pytest.raises(PreconditionError, match="non-empty"):
+            principal_power(np.zeros((0, 0)), 2.5, engine, 2)
+        with pytest.raises(PreconditionError, match="mean order"):
+            principal_power(np.eye(2), 2.5, engine, 2)
 
 
 def test_power_branch_cut_raises():
@@ -497,12 +561,12 @@ def test_congruence_keeps_a_mean_whose_inner_power_leaves_the_range(a, b, expect
 
 
 def test_mean_preconditions_have_one_order():
-    # a pair that fails accretivity and the order is refused for accretivity
-    # first, with one message from both engines
+    # a pair that fails accretivity, the order and the node budget is refused
+    # for accretivity first, with one message from both engines
     messages = set()
     for engine in ENGINES:
         with pytest.raises(PreconditionError) as info:
-            geometric_mean(-np.eye(2), np.eye(2), 2.5, engine=engine)
+            geometric_mean(-np.eye(2), np.eye(2), 2.5, engine=engine, nodes=2)
         messages.add(str(info.value))
     assert messages == {"first argument is not accretive (min Re-part eigenvalue -1.000e+00)"}
 

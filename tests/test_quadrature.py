@@ -26,7 +26,13 @@ from sectormeans import (
     principal_power,
     quadrature_rule,
 )
-from sectormeans.quadrature import MAX_NODES, MIN_NODES, node_count, truncation_estimate
+from sectormeans.quadrature import (
+    MAX_NODES,
+    MIN_NODES,
+    node_count,
+    require_node_count,
+    truncation_estimate,
+)
 
 BRANCH_SAMPLES = [(-0.7, "rneg"), (-0.2, "rneg"), (0.3, "r01"), (0.5, "r01"),
                   (0.9, "r01"), (1.2, "r12"), (1.5, "r12"), (1.8, "r12")]
@@ -47,9 +53,21 @@ def test_mean_order_branch(r, branch):
 def test_branch_endpoints_and_range():
     assert mean_order_branch(0.0) == "endpoint"
     assert mean_order_branch(1.0) == "endpoint"
-    for bad in (-1.0, 2.0, -1.5, 2.5):
+    for bad in (-1.0, 2.0, -1.5, 2.5, math.nan):
         with pytest.raises(PreconditionError):
             mean_order_branch(bad)
+    # a string is not a number, even one float() reads
+    for bad in ("x", "0.5", None, 0.5j):
+        with pytest.raises(PreconditionError, match="mean order must be a real number"):
+            mean_order_branch(bad)
+
+
+def test_node_budget_is_an_integer_in_range():
+    assert require_node_count(MIN_NODES) == MIN_NODES
+    assert type(require_node_count(np.int64(MAX_NODES))) is int
+    for bad in (MIN_NODES - 1, MAX_NODES + 1, 7.9, 8.0, "8", "x", None):
+        with pytest.raises(PreconditionError, match="nodes must be an integer in"):
+            require_node_count(bad)
 
 
 @pytest.mark.parametrize("r,branch", BRANCH_SAMPLES)
