@@ -44,7 +44,7 @@ from .means import (
     harmonic_mean,
 )
 from .norms import numerical_radius, ui_norm
-from .quadrature import MAX_NODES
+from .quadrature import MAX_NODES, require_node_count
 
 __all__ = [
     "Check",
@@ -70,10 +70,15 @@ class EvalContext:
 
     nodes is the node budget of every quadrature route: each sizes its rule
     from the spectrum it integrates over and refuses with NodeBudgetError
-    when that needs more.
+    when that needs more.  The budget is refused here, where it enters,
+    unless it is an integer in MIN_NODES..MAX_NODES, as the checks hand it
+    to the trusted kernel `means._resolvent_mean`.
     """
 
     nodes: int = MAX_NODES
+
+    def __post_init__(self) -> None:
+        require_node_count(self.nodes)
 
 
 @dataclass

@@ -8,6 +8,7 @@ the identity to the identity.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -142,7 +143,9 @@ def apply_map(phi: PositiveUnitalMap, A: np.ndarray) -> np.ndarray:
 
 
 def random_map(kind: str, n: int, rng: np.random.Generator) -> PositiveUnitalMap:
-    """Draw a map of the requested kind with parameters from rng."""
+    """Draw a map of the requested kind on n x n matrices, with parameters from rng."""
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise PreconditionError(f"map dimension must be an integer >= 1, got {n!r}")
     if kind == "compression":
         k = int(rng.integers(1, n)) if n > 1 else 1
         return Compression(n=n, k=k)

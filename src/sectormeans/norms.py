@@ -39,6 +39,7 @@ Below the floor, and for a singular A, zggev solves the pencil.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -68,9 +69,9 @@ def _norm(sv: np.ndarray, kind: str, k: int | None = None) -> float:
     if kind == "trace":
         return float(sv.sum())
     if kind == "kyfan":
-        if k is None or not 1 <= int(k) <= len(sv):
-            raise PreconditionError(f"kyfan norm needs 1 <= k <= {len(sv)}, got {k}")
-        return float(sv[: int(k)].sum())
+        if not (isinstance(k, numbers.Integral) and 1 <= k <= len(sv)):
+            raise PreconditionError(f"kyfan norm needs an integer 1 <= k <= {len(sv)}, got {k!r}")
+        return float(sv[:k].sum())
     raise PreconditionError(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
 
 

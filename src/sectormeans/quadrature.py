@@ -23,6 +23,12 @@ mu = 1, whose integrand is a polynomial of high degree.  So each rule also
 carries `probes`, which turn the integrand's values at the nodes into a few
 of its Jacobi coefficients, and `truncation_estimate` extrapolates their
 decay to the error of the rule.
+
+`quadrature_rule` is the one boundary of this layer: it refuses a bad order
+or node count before it converts either, and checks its own build once.  A
+`QuadratureRule` is the record it returns.  `node_count` is a trusted
+kernel: its budget is one that `means.principal_power`,
+`means.geometric_mean`, `RunConfig` or `EvalContext` has already admitted.
 """
 
 from __future__ import annotations
@@ -85,7 +91,7 @@ def jacobi_exponents(r: float) -> tuple[float, float]:
     """Exponents (a, b) of the weight s^b (1-s)^a: b = r - ceil(r), a = -1 - b."""
     if mean_order_branch(r) == "endpoint":
         raise PreconditionError(f"no quadrature measure at the endpoint r={r}")
-    b = r - math.ceil(r)
+    b = float(r) - math.ceil(r)
     return -1.0 - b, b
 
 
@@ -105,9 +111,9 @@ def node_count(mu: np.ndarray, budget: int = MAX_NODES) -> int:
     ellipse parameter |x0 + sqrt(x0^2 - 1)| simplifies to
     rho = |sqrt(mu) + 1| / |sqrt(mu) - 1| with the principal root.  The
     nearest pole sets n = ceil(log(1/NODE_EPS) / (2 log rho)), floored at
-    MIN_NODES.  Past `budget` this raises NodeBudgetError; it never clamps.
+    MIN_NODES.  Past `budget`, an admitted node count, this raises
+    NodeBudgetError; it never clamps.
     """
-    budget = require_node_count(budget)
     root = np.sqrt(np.asarray(mu, dtype=np.complex128))
     # 1/rho of the nearest pole: 0 without a pole (mu = 1), 1 on the cut
     inv_rho = float(np.max(np.abs(root - 1.0) / np.abs(root + 1.0)))
@@ -124,19 +130,15 @@ def node_count(mu: np.ndarray, budget: int = MAX_NODES) -> int:
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes in [0, 1] and positive weights summing to 1 for one mean order.
+    """The record of one rule, as `quadrature_rule` built and checked it:
+    nodes increasing strictly within [0, 1], and positive weights summing
+    to 1 within MASS_TOL.
 
     `probes` has one row per degree k in (0, h-1, h, n-2, n-1), h = n // 2,
     of w_j p_k(x_j) / p_0 for the measure's orthonormal polynomials p_k:
     summed against an integrand's values at the nodes, a row gives its
     discrete Jacobi coefficient of degree k, in units where degree 0 is the
     integral.  Row 0 is thus the weights, and `weights` reads it.
-
-    Construction checks that the order has a branch measure (it is neither
-    0 nor 1), the shapes, the node count, that the nodes increase strictly
-    within [0, 1], that the weights are positive and that they sum to 1
-    within MASS_TOL, for every rule, including those `quadrature_rule`
-    builds.
     """
 
     r: float
@@ -146,26 +148,6 @@ class QuadratureRule:
     @property
     def weights(self) -> np.ndarray:
         return self.probes[0]
-
-    def __post_init__(self) -> None:
-        jacobi_exponents(self.r)
-        nodes = self.nodes
-        if nodes.ndim != 1 or self.probes.shape != (5, len(nodes)):
-            raise PreconditionError("nodes must be a 1-d array and probes 5 rows of its length")
-        if len(nodes) < MIN_NODES:
-            raise PreconditionError(f"rule needs at least {MIN_NODES} nodes")
-        # within about 1e-12 of an integer r, an end node of a large rule
-        # rounds to 0 or 1; the pencil there is Q/c or P, neither singular
-        if not (nodes[0] >= 0.0 and nodes[-1] <= 1.0 and (nodes[1:] > nodes[:-1]).all()):
-            raise PreconditionError("nodes must be strictly increasing within [0, 1]")
-        if not (self.weights > 0.0).all():
-            raise PreconditionError("weights must be strictly positive")
-        mass = float(self.weights.sum())
-        if abs(mass - 1.0) > MASS_TOL:
-            raise PreconditionError(f"weights sum to {mass}, expected 1 within {MASS_TOL}")
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
 
 def truncation_estimate(n_nodes: int, probe_norms: np.ndarray) -> float:
@@ -196,8 +178,11 @@ def quadrature_rule(r: float, n_nodes: int) -> QuadratureRule:
     mass exactly 1, so the weights are the squared first components of the
     normalized eigenvectors, with no gamma function or sine to lose digits
     near the integers.
+
+    It refuses an order off the branches and a node count outside
+    MIN_NODES..MAX_NODES before it converts either, and then checks its
+    build once, as a fault of LAPACK would break the rule silently.
     """
-    r = float(r)
     _, b = jacobi_exponents(r)
     n_nodes = require_node_count(n_nodes)
     k = np.arange(1.0, n_nodes)
@@ -214,6 +199,15 @@ def quadrature_rule(r: float, n_nodes: int) -> QuadratureRule:
     # the weights are V[0]**2, so each probe row is V[0] times a row of V
     half = n_nodes // 2
     probes = V[0] * V[[0, half - 1, half, n_nodes - 2, n_nodes - 1]]
+    # within about 1e-12 of an integer r, an end node of a large rule
+    # rounds to 0 or 1; the pencil there is Q/c or P, neither singular
+    if not (nodes[0] >= 0.0 and nodes[-1] <= 1.0 and (nodes[1:] > nodes[:-1]).all()):
+        raise PreconditionError("nodes must be strictly increasing within [0, 1]")
+    if not (probes[0] > 0.0).all():
+        raise PreconditionError("weights must be strictly positive")
+    mass = float(probes[0].sum())
+    if abs(mass - 1.0) > MASS_TOL:
+        raise PreconditionError(f"weights sum to {mass}, expected 1 within {MASS_TOL}")
     for array in (nodes, probes):
         array.flags.writeable = False
-    return QuadratureRule(r=r, nodes=nodes, probes=probes)
+    return QuadratureRule(r=float(r), nodes=nodes, probes=probes)

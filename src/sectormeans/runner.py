@@ -221,6 +221,7 @@ def _violated(ev: TrialEval, tol: float) -> bool:
 def _run_one_trial(
     check: Check,
     config: RunConfig,
+    ctx: EvalContext,
     master_seed: int,
     trial: int,
     flip: bool,
@@ -231,7 +232,7 @@ def _run_one_trial(
     seed = derive_seed(master_seed, check.id, trial, 0)
     try:
         inst = sample_instance(check, config, seed, trial)
-        ev = check.evaluate(inst, EvalContext(nodes=config.nodes), flip)
+        ev = check.evaluate(inst, ctx, flip)
     except Exception as exc:
         return {"trial": trial, "seed": seed, "reason": f"{type(exc).__name__}: {exc}"}
     return {
@@ -285,8 +286,9 @@ def run_check(
     flip = _admit(check, config, mutate)
     seed = config.seed if master_seed is None else master_seed
 
+    ctx = EvalContext(nodes=config.nodes)
     start = time.perf_counter()
-    records = [_run_one_trial(check, config, seed, t, flip) for t in range(config.trials)]
+    records = [_run_one_trial(check, config, ctx, seed, t, flip) for t in range(config.trials)]
     runtime = time.perf_counter() - start
 
     errors = [rec for rec in records if "reason" in rec]
@@ -358,4 +360,5 @@ def replay_trial(check_id: str, seed: int, config: RunConfig) -> dict:
             f"seed {seed} was not derived from master seed {config.seed} for check "
             f"{check_id} within {config.trials} trials; pass the original --seed/--trials"
         )
-    return {"check": check.id, **_run_one_trial(check, config, config.seed, trial, False)}
+    ctx = EvalContext(nodes=config.nodes)
+    return {"check": check.id, **_run_one_trial(check, config, ctx, config.seed, trial, False)}

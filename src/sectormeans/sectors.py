@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,10 +51,10 @@ ACCRETIVE_FLOOR = 1e-12
 
 
 def validate_sector_angle(alpha: float) -> float:
-    alpha = float(alpha)
-    if not (0.0 <= alpha < math.pi / 2):
-        raise PreconditionError(f"sector half-angle must lie in [0, pi/2), got {alpha}")
-    return alpha
+    """alpha as a float, refused unless it is a real number in [0, pi/2)."""
+    if not (isinstance(alpha, numbers.Real) and 0.0 <= alpha < math.pi / 2):
+        raise PreconditionError(f"sector half-angle must lie in [0, pi/2), got {alpha!r}")
+    return float(alpha)
 
 
 @dataclass(frozen=True)
@@ -126,10 +127,16 @@ def derive_seed(*parts) -> int:
 
 
 def _check_dim(n: int) -> int:
-    n = int(n)
-    if not (1 <= n <= MAX_DIM):
-        raise PreconditionError(f"dimension must lie in [1, {MAX_DIM}], got {n}")
-    return n
+    if not (isinstance(n, numbers.Integral) and 1 <= n <= MAX_DIM):
+        raise PreconditionError(f"dimension must be an integer in [1, {MAX_DIM}], got {n!r}")
+    return int(n)
+
+
+def _seeded(seed: int) -> np.random.Generator:
+    """The generator of an integer seed >= 0, which determines every draw."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise PreconditionError(f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.default_rng(int(seed))
 
 
 def _complex_gaussian(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -173,12 +180,12 @@ def _sectorial(n: int, alpha: float, rng: np.random.Generator) -> SectorCertific
 
 def gen_pd(n: int, seed: int) -> np.ndarray:
     """Random Hermitian positive definite matrix, eigenvalues >= 0.1."""
-    return _pd(_check_dim(n), np.random.default_rng(seed))
+    return _pd(_check_dim(n), _seeded(seed))
 
 
 def gen_accretive(n: int, seed: int) -> np.ndarray:
     """Random accretive matrix H + iK with H positive definite, K Hermitian."""
-    return _accretive(_check_dim(n), np.random.default_rng(seed))
+    return _accretive(_check_dim(n), _seeded(seed))
 
 
 def gen_sectorial(n: int, alpha: float, seed: int) -> SectorCertificate:
@@ -190,9 +197,9 @@ def gen_sectorial(n: int, alpha: float, seed: int) -> SectorCertificate:
     alpha = validate_sector_angle(alpha)
     if alpha == 0.0:
         return SectorCertificate(matrix=gen_pd(n, seed), alpha=0.0, angle=0.0)
-    return _sectorial(_check_dim(n), alpha, np.random.default_rng(seed))
+    return _sectorial(_check_dim(n), alpha, _seeded(seed))
 
 
 def gen_unitary(n: int, seed: int) -> np.ndarray:
     """Haar-distributed unitary (QR of a complex Gaussian, phases fixed)."""
-    return _unitary(_check_dim(n), np.random.default_rng(seed))
+    return _unitary(_check_dim(n), _seeded(seed))

@@ -447,6 +447,32 @@ def test_eval_context_immutable():
         ctx.nodes = 32
 
 
+def test_eval_context_refuses_a_bad_budget():
+    """The budget is refused where it enters, as the checks hand it to the
+    trusted quadrature kernel, whose node count does not check it again."""
+    assert EvalContext(nodes=MIN_NODES).nodes == MIN_NODES
+    assert EvalContext(nodes=np.int64(MAX_NODES)).nodes == MAX_NODES
+    for bad in (MIN_NODES - 1, MAX_NODES + 1, 7.9, "8", None):
+        with pytest.raises(PreconditionError, match="nodes must be an integer in 4..1024"):
+            EvalContext(nodes=bad)
+
+
+def test_a_run_and_a_replay_build_one_eval_context(monkeypatch):
+    built = []
+
+    class Counted(EvalContext):
+        def __post_init__(self):
+            built.append(self.nodes)
+            super().__post_init__()
+
+    monkeypatch.setattr(runner, "EvalContext", Counted)
+    cfg = small_config(trials=5)
+    res = run_check(check_by_id("C09"), cfg)
+    assert built == [cfg.nodes]
+    replay_trial("C09", res.worst_seed, cfg)
+    assert built == [cfg.nodes] * 2
+
+
 def test_identity_margins_near_zero():
     cfg = small_config(trials=8)
     for cid in ("I01", "I03", "I05"):

@@ -184,9 +184,9 @@ def test_power_quad_budget_is_a_ceiling():
             principal_power_quad(A, r, need - 1)
 
 
-def shifted_jordan(n, t):
-    """I + t S for the n x n upper shift S, and the oracle
-    r -> sum_k binom(r, k) (t S)^k, a finite sum since S^n = 0."""
+def shifted_jordan(n, t, theta=0.0):
+    """e^{i theta} (I + t S) for the n x n upper shift S, and the oracle
+    r -> e^{i theta r} sum_k binom(r, k) (t S)^k, a finite sum since S^n = 0."""
     N = t * np.eye(n, k=1)
 
     def oracle(r):
@@ -194,9 +194,10 @@ def shifted_jordan(n, t):
         for k in range(n):
             out += coef * term
             term, coef = term @ N, coef * (r - k) / (k + 1)
-        return out
+        return out if theta == 0.0 else np.exp(1j * theta * r) * out
 
-    return np.eye(n) + N, oracle
+    A = np.eye(n) + N
+    return (A if theta == 0.0 else np.exp(1j * theta) * A), oracle
 
 
 def test_quad_routes_resolve_a_jordan_block():
@@ -213,6 +214,15 @@ def test_quad_routes_resolve_a_jordan_block():
     # 4 nodes are within a budget of 7, but the doubled rule is not
     with pytest.raises(NodeBudgetError, match="not resolved by 4"):
         principal_power_quad(A, 0.4, 7)
+
+
+@pytest.mark.parametrize("r", [-0.7, 0.3, 1.3])
+def test_power_quad_certifies_a_rotated_jordan_block(r):
+    """e^{0.6i} (I + 0.5 S) at n = 8: the truncation estimate holds the
+    result to the binomial series within 1e-13 (it errs about 2e-16); a
+    certificate accepting estimates up to 1e-10 errs 7e-13 to 8e-13."""
+    A, oracle = shifted_jordan(8, 0.5, 0.6)
+    assert rel_err(principal_power(A, r, "quad"), oracle(r)) <= 1e-13
 
 
 @pytest.mark.parametrize("r", [-0.6, 0.4, 1.7])
@@ -233,6 +243,10 @@ def test_power_quad_refuses_near_the_cut():
     A = np.diag([-1.0 + 1e-10j, 2.0])
     with pytest.raises(NodeBudgetError):
         principal_power_quad(A, 0.5)
+    # 1e-12 rad from the cut is 10 cut widths off it: the count, not the
+    # cut rule, refuses it
+    with pytest.raises(NodeBudgetError):
+        principal_power_quad(np.diag([-1.0 + 1e-12j, 2.0]), 0.5)
     # the eigen engine reaches 1e-13 * rho of the cut: the principal root
     out = principal_power_eigen(A, 0.5)
     np.testing.assert_allclose(out, np.diag([5e-11 + 1j, math.sqrt(2.0)]), rtol=1e-12, atol=0)
@@ -402,6 +416,16 @@ def test_numerically_singular_power_is_refused(r):
         principal_power(A, r, engine="eigen")
     with pytest.raises(NodeBudgetError):
         principal_power(A, r, engine="quad")
+
+
+def test_power_eigen_keeps_an_eigenvalue_ten_strips_off_the_cut():
+    """[[1, 1], [0, 1e-12]] is not Hermitian, so it takes the eig path,
+    whose strip of 1e-13 max|lambda| its eigenvalue 1e-12 clears: the eigen
+    engine returns the triangular square root (a strip of 1e-11 refuses it)."""
+    A = np.array([[1.0, 1.0], [0.0, 1e-12]])
+    assert not is_hermitian(A)
+    expect = np.array([[1.0, 1.0 / (1.0 + 1e-6)], [0.0, 1e-6]])
+    assert rel_err(principal_power(A, 0.5, engine="eigen"), expect) <= 1e-15
 
 
 def test_power_off_cone_but_off_cut_is_silent():

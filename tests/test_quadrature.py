@@ -18,7 +18,6 @@ from scipy.special import beta, roots_jacobi
 from sectormeans import (
     NodeBudgetError,
     PreconditionError,
-    QuadratureRule,
     gen_accretive,
     gen_unitary,
     jacobi_exponents,
@@ -134,26 +133,54 @@ def test_against_scipy_roots_jacobi(r, n):
 
 
 def test_rule_validation():
-    good = quadrature_rule(0.5, 8)
-    with pytest.raises(PreconditionError):
-        QuadratureRule(r=0.5, nodes=good.nodes[::-1].copy(), probes=good.probes)
-    # the weights are row 0 of the probes
-    for factor in (-1.0, 2.0):
-        probes = good.probes.copy()
-        probes[0] *= factor
-        with pytest.raises(PreconditionError):
-            QuadratureRule(r=0.5, nodes=good.nodes, probes=probes)
-    with pytest.raises(PreconditionError):
-        quadrature_rule(0.0, 16)
     # no branch measure exists at the endpoint orders
     for r in (0.0, 1.0):
         with pytest.raises(PreconditionError, match="endpoint"):
-            QuadratureRule(r=r, nodes=good.nodes, probes=good.probes)
+            quadrature_rule(r, 16)
+    # the order is refused before it is converted: a string is not a
+    # number, even one float() reads
+    for bad in ("x", None, "0.5"):
+        with pytest.raises(PreconditionError, match="mean order must be a real number"):
+            quadrature_rule(bad, 8)
     with pytest.raises(PreconditionError):
         quadrature_rule(0.5, 2)
     with pytest.raises(PreconditionError, match=str(MAX_NODES)):
         quadrature_rule(0.5, MAX_NODES + 1)
-    assert len(good) == 8
+
+
+def _reversed_nodes(x, V):
+    return x[::-1].copy(), V[:, ::-1].copy()
+
+
+def _zero_weight(x, V):
+    # the weights are the squared first components, so an underflow to 0 is
+    # how LAPACK output could make one non-positive
+    V = V.copy()
+    V[0, 3] = 0.0
+    return x, V
+
+
+def _heavy_weights(x, V):
+    # weights V[0]**2 summing to 1 + 1e-10, a hundred times MASS_TOL
+    V = V.copy()
+    V[0] *= math.sqrt(1.0 + 1e-10)
+    return x, V
+
+
+@pytest.mark.parametrize("fault, message", [
+    (_reversed_nodes, "strictly increasing within"),
+    (_zero_weight, "strictly positive"),
+    (_heavy_weights, "weights sum to"),
+], ids=["reversed-nodes", "zero-weight", "mass-1e-10"])
+def test_rule_checks_its_own_build(monkeypatch, fault, message):
+    """quadrature_rule checks what LAPACK dstevd returned before it returns
+    a rule: a fault in the eigensolve is refused, not integrated."""
+    from sectormeans import quadrature
+
+    solve = quadrature.lapack("dstevd")
+    monkeypatch.setattr(quadrature, "lapack", lambda name: lambda *args: fault(*solve(*args)))
+    with pytest.raises(PreconditionError, match=message):
+        quadrature_rule(0.5, 8)
 
 
 def test_rules_compare_and_hash_by_identity():
@@ -210,9 +237,6 @@ def test_node_count_from_the_spectrum():
     # on the cut no count suffices
     with pytest.raises(NodeBudgetError):
         node_count(np.array([-1.0, 1.0]))
-    for bad in (MIN_NODES - 1, MAX_NODES + 1):
-        with pytest.raises(PreconditionError, match="nodes"):
-            node_count(mu, bad)
 
 
 def test_rule_polynomial_exactness():

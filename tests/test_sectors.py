@@ -26,9 +26,11 @@ from sectormeans import (
     in_sector,
     is_accretive,
     sector_angle,
+    ui_norm,
     validate_sector_angle,
 )
 from sectormeans.linalg import inverse
+from sectormeans.maps import random_map
 from sectormeans.sectors import MAX_DIM, SectorCertificate
 
 SAMPLES = 100_000
@@ -203,6 +205,43 @@ def test_dim_bounds():
         gen_pd(0, 0)
     with pytest.raises(PreconditionError):
         gen_pd(MAX_DIM + 1, 0)
+
+
+ACCRETIVE = gen_accretive(3, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ui_norm(ACCRETIVE, "kyfan", "x"),
+    lambda: ui_norm(ACCRETIVE, "kyfan", 1.5),
+    lambda: ui_norm(ACCRETIVE, "kyfan", None),
+    lambda: gen_pd(2.5, 1),
+    lambda: gen_pd("x", 1),
+    lambda: gen_pd(2, 1.5),
+    lambda: gen_pd(2, "s"),
+    lambda: gen_pd(2, -1),
+    lambda: gen_accretive(2, None),
+    lambda: gen_sectorial(2, "x", 1),
+    lambda: gen_sectorial(2, 0.5, 2.0),
+    lambda: gen_unitary(2.0, 1),
+    lambda: in_sector(ACCRETIVE, "x"),
+    lambda: in_sector(ACCRETIVE, None),
+    lambda: validate_sector_angle("0.5"),
+    lambda: random_map("compression", 2.5, np.random.default_rng(0)),
+], ids=["kyfan-str", "kyfan-float", "kyfan-none", "dim-float", "dim-str", "seed-float",
+        "seed-str", "seed-negative", "seed-none", "angle-str", "sectorial-seed-float",
+        "unitary-dim-float", "in-sector-str", "in-sector-none", "angle-numeric-str",
+        "map-dim-float"])
+def test_scalar_arguments_are_refused_before_conversion(call):
+    """An integer argument must be an integer and a real one a real number:
+    a float, a string or None is refused, not converted into a valid value."""
+    with pytest.raises(PreconditionError):
+        call()
+
+
+def test_numpy_scalars_are_accepted_as_numbers():
+    assert np.array_equal(gen_pd(np.int64(3), np.uint8(7)), gen_pd(3, 7))
+    assert validate_sector_angle(np.float32(0.5)) == float(np.float32(0.5))
+    assert ui_norm(ACCRETIVE, "kyfan", np.int64(2)) == ui_norm(ACCRETIVE, "kyfan", 2)
 
 
 @settings(max_examples=15)
